@@ -152,6 +152,33 @@ func (c *Cache) Flush() {
 	c.clock = 0
 }
 
+// CopyFrom makes c an exact copy of src: contents, LRU state, MRU hints,
+// clock and stats. Both caches must have the same geometry; it panics
+// otherwise (machines are copied only onto machines of their own Config).
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic("cache: CopyFrom across geometries")
+	}
+	copy(c.tags, src.tags)
+	copy(c.meta, src.meta)
+	copy(c.stamp, src.stamp)
+	copy(c.valid, src.valid)
+	copy(c.hint, src.hint)
+	c.clock, c.stats = src.clock, src.stats
+}
+
+// Reset returns the cache to the state New builds: every array zeroed,
+// clock and stats included, so a recycled cache is indistinguishable from
+// a new one.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.meta)
+	clear(c.stamp)
+	clear(c.valid)
+	clear(c.hint)
+	c.clock, c.stats = 0, Stats{}
+}
+
 func (c *Cache) set(line uint64) int { return int(line & c.setMask) }
 
 // find returns the way holding line in set s, or -1. It touches no state.

@@ -365,25 +365,6 @@ func TestPropertyLookupAccounting(t *testing.T) {
 	}
 }
 
-func BenchmarkLookupHit(b *testing.B) {
-	c := New(Config{Sets: 1024, Ways: 8, LineBytes: 64, HitLatency: 4})
-	for i := uint64(0); i < 1024; i++ {
-		fill(c, i, NoOwner, false, c.Config().AllWays())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lookup(c, uint64(i)&1023, true)
-	}
-}
-
-func BenchmarkFillEvict(b *testing.B) {
-	c := New(Config{Sets: 1024, Ways: 8, LineBytes: 64, HitLatency: 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fill(c, uint64(i), NoOwner, false, c.Config().AllWays())
-	}
-}
-
 func TestReadyTimeLateHit(t *testing.T) {
 	c := New(small())
 	// Prefetch filled at t=100 with 232-cycle source latency.

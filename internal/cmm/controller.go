@@ -84,30 +84,46 @@ func (c *Controller) LastDecision() Decision {
 // when the controller's owner shares it across goroutines.
 func (c *Controller) SetSink(s telemetry.Sink) { c.sink = s }
 
-// RunEpochs executes n full execution+profiling epochs.
+// RunEpochs executes n full execution+profiling epochs: each snapshots
+// the PMUs, runs the execution epoch, and hands over to FinishEpoch.
 func (c *Controller) RunEpochs(n int) error {
 	for i := 0; i < n; i++ {
 		c.snapBuf = snapshotsInto(c.snapBuf, c.target)
 		c.target.RunCycles(c.cfg.ExecutionEpoch)
-		c.executionCycles += c.cfg.ExecutionEpoch
-		c.execBuf = deltasInto(c.execBuf, c.target, c.snapBuf)
-		ct := &c.ct
-		ct.Target, ct.cycles = c.target, 0
-		dec, err := c.policy.Epoch(ct, c.cfg, c.execBuf)
-		if err != nil {
-			return fmt.Errorf("cmm: epoch %d (%s): %w", i, c.policy.Name(), err)
+		if err := c.FinishEpoch(c.snapBuf); err != nil {
+			return err
 		}
-		c.profilingCycles += ct.cycles
-		c.annotateNodes(&dec)
-		if c.sink != nil {
-			var prev *Decision
-			if len(c.decisions) > 0 {
-				prev = &c.decisions[len(c.decisions)-1]
-			}
-			c.sink.Emit(epochEvent(len(c.decisions), dec, prev, c.cfg.ExecutionEpoch, ct.cycles))
-		}
-		c.decisions = append(c.decisions, dec)
 	}
+	return nil
+}
+
+// FinishEpoch completes an epoch whose execution phase has already run:
+// the target executed ExecutionEpoch cycles since the PMU snapshots snaps
+// were taken, with no MSR written in between. It charges those cycles,
+// runs the policy's profiling and decision, and emits the epoch's
+// telemetry. RunEpochs is this after its own execution phase; calling it
+// directly lets a caller share one execution phase among controllers —
+// the experiment engine runs each mix's policy-independent first epoch
+// once and copies the machine for every policy. snaps is only read.
+func (c *Controller) FinishEpoch(snaps []pmu.Snapshot) error {
+	c.executionCycles += c.cfg.ExecutionEpoch
+	c.execBuf = deltasInto(c.execBuf, c.target, snaps)
+	ct := &c.ct
+	ct.Target, ct.cycles = c.target, 0
+	dec, err := c.policy.Epoch(ct, c.cfg, c.execBuf)
+	if err != nil {
+		return fmt.Errorf("cmm: epoch %d (%s): %w", len(c.decisions), c.policy.Name(), err)
+	}
+	c.profilingCycles += ct.cycles
+	c.annotateNodes(&dec)
+	if c.sink != nil {
+		var prev *Decision
+		if len(c.decisions) > 0 {
+			prev = &c.decisions[len(c.decisions)-1]
+		}
+		c.sink.Emit(epochEvent(len(c.decisions), dec, prev, c.cfg.ExecutionEpoch, ct.cycles))
+	}
+	c.decisions = append(c.decisions, dec)
 	return nil
 }
 

@@ -158,6 +158,23 @@ func (c *Core) ID() int { return c.id }
 // Spec returns the workload spec running on this core.
 func (c *Core) Spec() workload.Spec { return c.spec }
 
+// Generator returns the core's reference-stream generator.
+func (c *Core) Generator() workload.Generator { return c.gen }
+
+// CopyFrom makes c an exact copy of src: timing state, PMU counters,
+// caches, prefetcher training and a Clone of its generator. c keeps its
+// own caches, prefetch unit and shared side (the machine it belongs to);
+// both cores must have the same cache geometries and prefetch Params.
+func (c *Core) CopyFrom(src *Core) {
+	l1, l2, pf, shared, reqBuf := c.l1, c.l2, c.pf, c.shared, c.reqBuf
+	*c = *src
+	c.l1, c.l2, c.pf, c.shared, c.reqBuf = l1, l2, pf, shared, reqBuf
+	c.gen = src.gen.Clone()
+	c.l1.CopyFrom(src.l1)
+	c.l2.CopyFrom(src.l2)
+	c.pf.CopyFrom(src.pf)
+}
+
 // Prefetchers returns the core's prefetch unit.
 func (c *Core) Prefetchers() *prefetch.Unit { return c.pf }
 

@@ -41,44 +41,48 @@ type measBufs struct {
 
 var measPool = sync.Pool{New: func() any { return new(measBufs) }}
 
-// runPolicy executes the controller-driven run for one mix.
-func runPolicy(opts Options, mix mixes.Mix, policy cmm.Policy, seed int64) (policyRun, error) {
-	sys, err := sim.New(opts.Sim, mix.Specs, seed)
-	if err != nil {
-		return policyRun{}, err
-	}
-	target := cmm.NewSimTarget(sys)
-	ctrl, err := cmm.NewController(opts.CMM, target, policy)
+// runPolicy drives policy over sys, a machine that has just run its mix's
+// first execution epoch (see prefixCache) from the cold PMU state start,
+// and measures the run: the controller finishes that epoch, runs the rest
+// of the warm-up, and then the measured epochs.
+func runPolicy(opts Options, sys *sim.System, start []pmu.Snapshot, mix string, policy cmm.Policy, seed int64) (policyRun, error) {
+	ctrl, err := cmm.NewController(opts.CMM, cmm.NewSimTarget(sys), policy)
 	if err != nil {
 		return policyRun{}, err
 	}
 	if opts.Telemetry != nil {
-		ctrl.SetSink(telemetry.WithRun(opts.Telemetry, mix.Name, seed))
+		ctrl.SetSink(telemetry.WithRun(opts.Telemetry, mix, seed))
 	}
-	if opts.WarmEpochs > 0 {
-		if err := ctrl.RunEpochs(opts.WarmEpochs); err != nil {
-			return policyRun{}, err
-		}
+	if err := ctrl.FinishEpoch(start); err != nil {
+		return policyRun{}, err
 	}
 	bufs := measPool.Get().(*measBufs)
 	defer measPool.Put(bufs)
-	bufs.snaps = sys.SnapshotsInto(bufs.snaps)
 	// Bandwidth is tracked per node: each NUMA node owns a controller, so
 	// machine-wide traffic is the sum over node controllers, never a single
-	// controller's field.
+	// controller's field. Without warm-up the measurement spans the first
+	// epoch too, from the cold machine: its snapshots are start, and at
+	// cycle 0 it has moved no bytes.
 	nodeBefore := make([]uint64, sys.NumNodes())
-	for nd := range nodeBefore {
-		nodeBefore[nd] = sys.NodeBytes(nd)
+	since, from, measure := start, uint64(0), opts.MeasureEpochs-1
+	if opts.WarmEpochs > 0 {
+		if err := ctrl.RunEpochs(opts.WarmEpochs - 1); err != nil {
+			return policyRun{}, err
+		}
+		bufs.snaps = sys.SnapshotsInto(bufs.snaps)
+		for nd := range nodeBefore {
+			nodeBefore[nd] = sys.NodeBytes(nd)
+		}
+		since, from, measure = bufs.snaps, sys.Now(), opts.MeasureEpochs
 	}
-	start := sys.Now()
-	if err := ctrl.RunEpochs(opts.MeasureEpochs); err != nil {
+	if err := ctrl.RunEpochs(measure); err != nil {
 		return policyRun{}, err
 	}
-	bufs.samples = sys.DeltasInto(bufs.samples, bufs.snaps)
+	bufs.samples = sys.DeltasInto(bufs.samples, since)
 	deltas := bufs.samples
 	run := policyRun{
 		IPC:       sim.IPCs(deltas),
-		Cycles:    sys.Now() - start,
+		Cycles:    sys.Now() - from,
 		NodeBytes: make([]uint64, sys.NumNodes()),
 	}
 	for nd := range run.NodeBytes {
@@ -271,6 +275,12 @@ func RunComparison(opts Options, policies []cmm.Policy) (*Comparison, error) {
 // Fig. 13 set (e.g. the bandwidth-saturated family). Every mix must be
 // sized for opts.Cores.
 func RunComparisonMixes(opts Options, selected []mixes.Mix, policies []cmm.Policy) (*Comparison, error) {
+	return runComparison(opts, selected, policies, new(prefixCache))
+}
+
+// runComparison is RunComparisonMixes with the sweep's prefix cache
+// supplied, so tests can inspect it afterwards.
+func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, prefixes *prefixCache) (*Comparison, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -307,19 +317,36 @@ func RunComparisonMixes(opts Options, selected []mixes.Mix, policies []cmm.Polic
 			runs[mi][pi] = make([]policyRun, len(opts.Seeds))
 		}
 	}
+	// Jobs run (mix, seed)-major, so each (mix, seed)'s runs follow one
+	// another and a worker holds at most one prefix at a time.
 	type job struct{ mi, pi, si int }
 	jobs := make([]job, 0, nRuns)
 	for mi := range selected {
-		for pi := range runPolicies {
-			for si := range opts.Seeds {
+		for si := range opts.Seeds {
+			for pi := range runPolicies {
 				jobs = append(jobs, job{mi, pi, si})
 			}
 		}
 	}
+	prefixes.init(opts, len(selected), len(opts.Seeds), len(runPolicies))
+	defer prefixes.close()
 	err := parallel.ForEachCtx(opts.ctx(), opts.Workers, len(jobs), func(j int) error {
 		jb := jobs[j]
-		mix, p := selected[jb.mi], runPolicies[jb.pi]
-		r, err := runPolicyCached(opts, mix, p, opts.Seeds[jb.si])
+		mix, p, seed := selected[jb.mi], runPolicies[jb.pi], opts.Seeds[jb.si]
+		k := prefixKey{jb.mi, jb.si}
+		simulated := false
+		r, err := runPolicyCached(opts, mix, p, seed, func(policy cmm.Policy) (policyRun, error) {
+			simulated = true
+			sys, start, err := prefixes.acquire(k, mix, seed)
+			if err != nil {
+				return policyRun{}, err
+			}
+			defer prefixes.release(sys)
+			return runPolicy(opts, sys, start, mix.Name, policy, seed)
+		})
+		if !simulated {
+			prefixes.skip(k)
+		}
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", mix.Name, p.Name(), err)
 		}

@@ -165,21 +165,22 @@ func emitStoreEvent(o Options, mix, policy, benchmark string, seed int64, hit bo
 	})
 }
 
-// runPolicyCached is runPolicy behind the run store: on a hit the stored
-// result is decoded and no simulation happens; on a miss the run executes
-// (cloning the policy for isolation, as the direct path does) and its
-// result is persisted in canonical JSON. Concurrent identical requests are
-// deduplicated by the store's singleflight, so one simulation serves all.
-func runPolicyCached(opts Options, mix mixes.Mix, policy cmm.Policy, seed int64) (policyRun, error) {
+// runPolicyCached is a policy run behind the run store: on a hit the
+// stored result is decoded and run is never called, so nothing is
+// simulated; on a miss run executes on a Clone of the policy (runs never
+// share policy state) and its result is persisted in canonical JSON.
+// Concurrent identical requests are deduplicated by the store's
+// singleflight, so one simulation serves all.
+func runPolicyCached(opts Options, mix mixes.Mix, policy cmm.Policy, seed int64, run func(cmm.Policy) (policyRun, error)) (policyRun, error) {
 	if opts.Store == nil {
-		return runPolicy(opts, mix, policy.Clone(), seed)
+		return run(policy.Clone())
 	}
 	key, err := opts.policyKeyHash(mix, PolicyStoreName(policy), seed)
 	if err != nil {
 		return policyRun{}, fmt.Errorf("experiments: store key: %w", err)
 	}
 	data, hit, err := opts.Store.GetOrCompute(key, func() ([]byte, error) {
-		r, err := runPolicy(opts, mix, policy.Clone(), seed)
+		r, err := run(policy.Clone())
 		if err != nil {
 			return nil, err
 		}

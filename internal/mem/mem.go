@@ -146,6 +146,23 @@ func NewController(n int, cfg Config) *Controller {
 	return m
 }
 
+// CopyFrom makes m an exact copy of src: window accounting, loaded
+// latencies, byte counters, MBA throttles and bandwidth shares. Both
+// controllers must serve the same number of cores; it panics otherwise.
+func (m *Controller) CopyFrom(src *Controller) {
+	if len(m.bytes) != len(src.bytes) {
+		panic("mem: CopyFrom across core counts")
+	}
+	bytes, throttle, share, swb, sl := m.bytes, m.throttle, m.share, m.shareWindowBytes, m.shareLatency
+	*m = *src
+	m.bytes, m.throttle, m.share, m.shareWindowBytes, m.shareLatency = bytes, throttle, share, swb, sl
+	copy(m.bytes, src.bytes)
+	copy(m.throttle, src.throttle)
+	copy(m.share, src.share)
+	copy(m.shareWindowBytes, src.shareWindowBytes)
+	copy(m.shareLatency, src.shareLatency)
+}
+
 // Config returns the controller's configuration.
 func (m *Controller) Config() Config { return m.cfg }
 

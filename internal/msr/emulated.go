@@ -1,6 +1,9 @@
 package msr
 
-import "sync"
+import (
+	"maps"
+	"sync"
+)
 
 // Watcher observes writes to an emulated bank. The simulator registers a
 // watcher so that, exactly as on real hardware, storing to
@@ -58,6 +61,28 @@ func (b *Emulated) AddWatcher(w Watcher) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.watch = append(b.watch, w)
+}
+
+// CopyFrom makes b's registers an exact copy of src's. b keeps its own
+// watchers and none of them is notified: the copy is not a write, and a
+// machine copying a bank copies the state the writes produced with it.
+// Both banks must span the same CPUs; it panics otherwise.
+func (b *Emulated) CopyFrom(src *Emulated) {
+	if b == src {
+		return
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.regs) != len(src.regs) {
+		panic("msr: CopyFrom across CPU counts")
+	}
+	for i, regs := range src.regs {
+		clear(b.regs[i])
+		maps.Copy(b.regs[i], regs)
+	}
+	b.numCLOS = src.numCLOS
 }
 
 // Read implements Bank.

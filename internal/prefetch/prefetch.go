@@ -204,6 +204,19 @@ func (u *Unit) ResetTraining() {
 	u.stream.init(u.params)
 }
 
+// CopyFrom makes u an exact copy of src: disable bits, training tables
+// and stats. Both units must have the same Params; it panics otherwise.
+func (u *Unit) CopyFrom(src *Unit) {
+	if u.params != src.params {
+		panic("prefetch: CopyFrom across Params")
+	}
+	ip, stream, s1, s2 := u.ip, u.stream, u.scratchL1, u.scratchL2
+	*u = *src
+	u.ip, u.stream, u.scratchL1, u.scratchL2 = ip, stream, s1, s2
+	u.ip.copyFrom(&src.ip)
+	u.stream.copyFrom(&src.stream)
+}
+
 // ipTable is the IP (stride) prefetcher's tracking table, indexed by a
 // hash of the program counter.
 type ipTable struct {
@@ -220,6 +233,14 @@ func (t *ipTable) init(p Params) {
 	t.strides = make([]int64, p.IPTableSize)
 	t.conf = make([]int8, p.IPTableSize)
 	t.shift = pow2Shift(uint64(p.IPTableSize))
+}
+
+func (t *ipTable) copyFrom(src *ipTable) {
+	copy(t.pcs, src.pcs)
+	copy(t.last, src.last)
+	copy(t.strides, src.strides)
+	copy(t.conf, src.conf)
+	t.shift = src.shift
 }
 
 func (t *ipTable) observe(pc, addr uint64, p Params) (target uint64, ok bool) {
@@ -289,6 +310,16 @@ func (t *streamTable) init(p Params) {
 	t.clock = 0
 	t.hint = 0
 	t.lppShift = pow2Shift(p.linesPerPage())
+}
+
+func (t *streamTable) copyFrom(src *streamTable) {
+	copy(t.pages, src.pages)
+	copy(t.last, src.last)
+	copy(t.dir, src.dir)
+	copy(t.conf, src.conf)
+	copy(t.ahead, src.ahead)
+	copy(t.lru, src.lru)
+	t.clock, t.hint, t.lppShift = src.clock, src.hint, src.lppShift
 }
 
 // observe feeds an L2 access and appends generated prefetches to out,

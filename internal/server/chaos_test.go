@@ -519,3 +519,68 @@ func TestChaosCrossNodeCancel(t *testing.T) {
 		t.Errorf("canceled job executed on worker B %d times", n)
 	}
 }
+
+// TestStaleScanAfterCompletionKeepsResult replays the scanner race
+// deterministically: a pass lists the durable records while job B is
+// still queued behind job A, both jobs then finish, and only then does
+// the pass apply its listing. B must stay done and keep serving the same
+// result bytes, not fall back to queued and answer 409.
+func TestStaleScanAfterCompletionKeepsResult(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan string, 4)
+	exec := func(ctx context.Context, j *job) (any, error) {
+		started <- j.id
+		select {
+		case <-release:
+			return map[string]string{"ok": j.id}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s, ts, _ := chaosWorker(t, t.TempDir(), t.TempDir(), "w", time.Minute, exec)
+	s.stopScanner() // this test drives the passes itself
+
+	a := postJob(t, ts, `{"preset":"tiny","policies":["PT"],"seeds":[1]}`)
+	<-started
+	b := postJob(t, ts, `{"preset":"tiny","policies":["PT"],"seeds":[2]}`)
+
+	// The first half of a scanner pass: stamp, then list. B is queued.
+	listed := s.transitions.Add(1)
+	recs, err := s.cfg.Jobs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.ID == b.ID && rec.State != jobstore.StateQueued {
+			t.Fatalf("listed B as %q, want queued", rec.State)
+		}
+	}
+
+	close(release)
+	awaitState(t, ts, a.ID, StateDone)
+	awaitState(t, ts, b.ID, StateDone)
+	result := func() (int, []byte) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + b.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	code, before := result()
+	if code != http.StatusOK {
+		t.Fatalf("result before the stale pass: status %d: %s", code, before)
+	}
+
+	// The second half, applied after both jobs finished.
+	s.applyRecords(recs, listed)
+
+	code, after := result()
+	if code != http.StatusOK || string(after) != string(before) {
+		t.Fatalf("result after the stale pass: status %d, body %q; want 200 and %q", code, after, before)
+	}
+}

@@ -149,6 +149,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j == nil && s.cfg.Jobs != nil {
+		listed := s.transitions.Add(1)
 		if rec, err := s.cfg.Jobs.Get(id); err == nil {
 			if nj, err := s.buildJobFromRecord(rec); err == nil {
 				s.mu.Lock()
@@ -159,7 +160,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 					j = nj
 				}
 				s.mu.Unlock()
-				syncFromRecord(j, rec)
+				syncFromRecord(j, rec, listed)
 			}
 		}
 	}
@@ -180,8 +181,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		local := j.localRun
 		j.mu.Unlock()
 		if !local {
+			listed := s.transitions.Add(1)
 			if rec, err := s.cfg.Jobs.Get(j.id); err == nil {
-				syncFromRecord(j, rec)
+				syncFromRecord(j, rec, listed)
 			}
 		}
 	}

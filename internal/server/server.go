@@ -158,6 +158,10 @@ type job struct {
 	created      time.Time
 	started      time.Time
 	finished     time.Time
+
+	// settled stamps the job's last local transition out of a local run
+	// (Server.transitions); durable records listed before it are stale.
+	settled uint64
 }
 
 // Server runs the job queue, the worker pool, and the HTTP API.
@@ -187,6 +191,12 @@ type Server struct {
 	scanStop chan struct{}
 	scanDone chan struct{}
 	scanOnce sync.Once
+
+	// transitions orders local job transitions against durable listings:
+	// a scanner pass stamps itself before it lists the records, and
+	// endRunLocked stamps each local transition, so a record read before
+	// a job's last local transition is recognisably stale.
+	transitions atomic.Uint64
 
 	// dead simulates a SIGKILL for chaos tests: heartbeats stop, durable
 	// state is never written, leases are left to expire.
@@ -543,13 +553,17 @@ func (s *Server) buildJobFromRecord(rec *jobstore.Record) (*job, error) {
 	return j, nil
 }
 
-// syncFromRecord refreshes a local mirror from the durable record.
-// Callers must not hold j.mu. Jobs this process is executing are
-// authoritative locally and are left alone.
-func syncFromRecord(j *job, rec *jobstore.Record) {
+// syncFromRecord refreshes a local mirror from the durable record rec,
+// read after the transition stamp listed was taken. Callers must not hold
+// j.mu. Jobs this process is executing are authoritative locally and are
+// left alone, and so are jobs whose last local transition is newer than
+// the listing: rec predates it. Without that check a scanner pass that
+// listed a job as queued, applied after this process finished the job,
+// would turn the done job back into a queued one whose result is refused.
+func syncFromRecord(j *job, rec *jobstore.Record, listed uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.localRun {
+	if j.localRun || j.settled > listed {
 		return
 	}
 	j.state = rec.State
@@ -560,6 +574,14 @@ func syncFromRecord(j *job, rec *jobstore.Record) {
 	for _, e := range rec.Errors {
 		j.history = append(j.history, fmt.Sprintf("attempt %d (worker %s): %s", e.Attempt, e.Worker, e.Error))
 	}
+}
+
+// endRunLocked ends j's local execution and stamps the transition (see
+// syncFromRecord). j.mu must be held.
+func (s *Server) endRunLocked(j *job) {
+	j.localRun = false
+	j.cancel = nil
+	j.settled = s.transitions.Add(1)
 }
 
 // scanLoop is the durable-job scanner: on a jittered interval it adopts
@@ -587,10 +609,17 @@ func (s *Server) scanLoop() {
 
 // scanOnceNow performs one scanner pass.
 func (s *Server) scanOnceNow() {
+	listed := s.transitions.Add(1)
 	recs, err := s.cfg.Jobs.List()
 	if err != nil {
 		return // transient store trouble; next tick retries
 	}
+	s.applyRecords(recs, listed)
+}
+
+// applyRecords is the second half of a scanner pass: it brings the local
+// mirrors up to date with records listed after the stamp listed.
+func (s *Server) applyRecords(recs []*jobstore.Record, listed uint64) {
 	now := s.cfg.Jobs.Now()
 	for _, rec := range recs {
 		s.mu.Lock()
@@ -616,23 +645,23 @@ func (s *Server) scanOnceNow() {
 			reaped, err := s.cfg.Jobs.ReapExpired(rec)
 			if err != nil || !reaped {
 				if err == nil {
-					syncFromRecord(j, rec)
+					syncFromRecord(j, rec, listed)
 				}
 				continue
 			}
 			// rec now reflects the post-reap state (queued, or failed when
-			// the dead worker burned the last attempt).
+			// the dead worker burned the last attempt), written just now.
 			s.cfg.Counters.JobRequeued()
 			if rec.State == jobstore.StateFailed {
 				s.cfg.Counters.JobQuarantined()
 			}
-			syncFromRecord(j, rec)
+			syncFromRecord(j, rec, s.transitions.Add(1))
 			s.maybeEnqueueLocal(j, rec, now)
 		case jobstore.StateQueued:
-			syncFromRecord(j, rec)
+			syncFromRecord(j, rec, listed)
 			s.maybeEnqueueLocal(j, rec, now)
 		default:
-			syncFromRecord(j, rec)
+			syncFromRecord(j, rec, listed)
 		}
 	}
 }
@@ -681,10 +710,11 @@ func (s *Server) run(j *job) {
 			// scanner keeps the mirror fresh and re-enqueues when due.
 			return
 		}
+		listed := s.transitions.Add(1)
 		rec, err = s.cfg.Jobs.Get(j.id)
 		if err != nil || (rec.State != jobstore.StateQueued && rec.State != jobstore.StateRunning) {
 			if err == nil {
-				syncFromRecord(j, rec)
+				syncFromRecord(j, rec, listed)
 			}
 			lease.Release()
 			return
@@ -796,8 +826,7 @@ func (s *Server) run(j *job) {
 		// back to a passive mirror — the scanner reports the new owner's
 		// progress.
 		j.mu.Lock()
-		j.localRun = false
-		j.cancel = nil
+		s.endRunLocked(j)
 		j.state = StateQueued
 		j.err = "lease lost; job taken over by another worker"
 		j.mu.Unlock()
@@ -833,8 +862,7 @@ func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record,
 		}
 		if errors.Is(err, jobstore.ErrLeaseLost) {
 			j.mu.Lock()
-			j.localRun = false
-			j.cancel = nil
+			s.endRunLocked(j)
 			j.state = StateQueued
 			j.err = "lease lost at completion; job taken over by another worker"
 			j.mu.Unlock()
@@ -851,8 +879,7 @@ func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record,
 	}
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.cancel = nil
-	j.localRun = false
+	s.endRunLocked(j)
 	j.state = StateDone
 	j.err = ""
 	j.result = result
@@ -870,8 +897,7 @@ func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Rec
 		s.cfg.Jobs.Requeue(lease, rec)
 		j.mu.Lock()
 		j.finished = time.Now()
-		j.cancel = nil
-		j.localRun = false
+		s.endRunLocked(j)
 		j.state = StateCanceled
 		j.err = "server shutting down; job requeued for surviving workers"
 		j.mu.Unlock()
@@ -889,8 +915,7 @@ func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Rec
 	}
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.cancel = nil
-	j.localRun = false
+	s.endRunLocked(j)
 	j.state = StateCanceled
 	j.err = reason
 	j.mu.Unlock()
@@ -926,8 +951,7 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 		retried, err := s.cfg.Jobs.Fail(lease, rec, execErr.Error())
 		if errors.Is(err, jobstore.ErrLeaseLost) {
 			j.mu.Lock()
-			j.localRun = false
-			j.cancel = nil
+			s.endRunLocked(j)
 			j.state = StateQueued
 			j.mu.Unlock()
 			return
@@ -935,8 +959,7 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 		if retried {
 			s.cfg.Counters.JobRetried()
 			j.mu.Lock()
-			j.cancel = nil
-			j.localRun = false
+			s.endRunLocked(j)
 			j.state = StateQueued
 			j.err = execErr.Error()
 			j.mu.Unlock()
@@ -947,8 +970,7 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 		s.cfg.Counters.JobQuarantined()
 		j.mu.Lock()
 		j.finished = time.Now()
-		j.cancel = nil
-		j.localRun = false
+		s.endRunLocked(j)
 		j.state = StateFailed
 		j.err = execErr.Error()
 		j.mu.Unlock()
@@ -961,8 +983,7 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 		s.cfg.Counters.JobRetried()
 		delay := jobstore.BackoffDelay(s.cfg.RetryBase, 64*s.cfg.RetryBase, attempt)
 		j.mu.Lock()
-		j.cancel = nil
-		j.localRun = false
+		s.endRunLocked(j)
 		j.state = StateQueued
 		j.err = execErr.Error()
 		j.mu.Unlock()
@@ -972,8 +993,7 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 	s.cfg.Counters.JobQuarantined()
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.cancel = nil
-	j.localRun = false
+	s.endRunLocked(j)
 	j.state = StateFailed
 	j.err = execErr.Error()
 	j.mu.Unlock()

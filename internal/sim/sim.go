@@ -209,6 +209,14 @@ type System struct {
 // seeded with seed+core so multiprogrammed runs are deterministic but
 // decorrelated. It returns an error for invalid configuration or specs.
 func New(cfg Config, specs []workload.Spec, seed int64) (*System, error) {
+	gens, err := generators(specs, seed)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithGenerators(cfg, gens)
+}
+
+func generators(specs []workload.Spec, seed int64) ([]workload.Generator, error) {
 	gens := make([]workload.Generator, len(specs))
 	for i, spec := range specs {
 		gen, err := workload.New(spec, seed+int64(i)*1_000_003)
@@ -217,30 +225,56 @@ func New(cfg Config, specs []workload.Spec, seed int64) (*System, error) {
 		}
 		gens[i] = gen
 	}
-	return NewWithGenerators(cfg, gens)
+	return gens, nil
 }
 
 // NewWithGenerators builds a machine from pre-built reference-stream
 // generators (one per core) — the entry point for trace replay and custom
 // workloads. Each generator's Spec supplies the core's timing parameters.
 func NewWithGenerators(cfg Config, gens []workload.Generator) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &System{}
+	if err := s.init(cfg, gens); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// Reset returns the machine to the power-on state New(s.Config(), specs,
+// seed) builds, bit for bit, keeping the storage of its caches — the
+// bulk of a machine — instead of allocating new ones. specs must have
+// one entry per core. On error the machine must not be used again.
+func (s *System) Reset(specs []workload.Spec, seed int64) error {
+	if len(specs) != len(s.cores) {
+		return fmt.Errorf("sim: Reset with %d specs on a %d-core machine", len(specs), len(s.cores))
+	}
+	gens, err := generators(specs, seed)
+	if err != nil {
+		return err
+	}
+	return s.init(s.cfg, gens)
+}
+
+// init builds s for cfg running gens. The caches of a machine that
+// already has cfg's shape are reset and kept; everything else is built
+// new.
+func (s *System) init(cfg Config, gens []workload.Generator) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	n := len(gens)
 	if n == 0 {
-		return nil, fmt.Errorf("sim: no workloads")
+		return fmt.Errorf("sim: no workloads")
 	}
 	nodes := cfg.Topology.nodes()
 	cpn := cfg.Topology.CoresPerNode
 	if cpn == 0 {
 		if n%nodes != 0 {
-			return nil, fmt.Errorf("sim: %d cores not divisible by %d nodes", n, nodes)
+			return fmt.Errorf("sim: %d cores not divisible by %d nodes", n, nodes)
 		}
 		cpn = n / nodes
 	}
 	if cpn*nodes != n {
-		return nil, fmt.Errorf("sim: topology %d nodes x %d cores/node != %d cores", nodes, cpn, n)
+		return fmt.Errorf("sim: topology %d nodes x %d cores/node != %d cores", nodes, cpn, n)
 	}
 	if nodes > 1 {
 		// CLOS mask and MBA registers are per-package on real multi-socket
@@ -249,10 +283,16 @@ func NewWithGenerators(cfg Config, gens []workload.Generator) (*System, error) {
 		if cfg.CAT.CoresPerPackage == 0 {
 			cfg.CAT.CoresPerPackage = cpn
 		} else if cfg.CAT.CoresPerPackage != cpn {
-			return nil, fmt.Errorf("sim: CAT.CoresPerPackage %d != %d cores/node", cfg.CAT.CoresPerPackage, cpn)
+			return fmt.Errorf("sim: CAT.CoresPerPackage %d != %d cores/node", cfg.CAT.CoresPerPackage, cpn)
 		}
 	}
-	s := &System{
+	// A machine that already has this shape keeps its caches, reset.
+	var oldLLCs []*cache.Cache
+	var oldCores []*cpu.Core
+	if s.cfg == cfg && len(s.cores) == n {
+		oldLLCs, oldCores = s.llcs, s.cores
+	}
+	*s = System{
 		cfg:   cfg,
 		llcs:  make([]*cache.Cache, nodes),
 		memcs: make([]*mem.Controller, nodes),
@@ -269,7 +309,12 @@ func NewWithGenerators(cfg Config, gens []workload.Generator) (*System, error) {
 		s.homeMask = uint64(nodes - 1)
 	}
 	for nd := 0; nd < nodes; nd++ {
-		s.llcs[nd] = cache.New(cfg.LLC)
+		if oldLLCs != nil {
+			s.llcs[nd] = oldLLCs[nd]
+			s.llcs[nd].Reset()
+		} else {
+			s.llcs[nd] = cache.New(cfg.LLC)
+		}
 		s.memcs[nd] = mem.NewController(n, cfg.Mem)
 	}
 	s.alloc = cat.NewAllocator(cfg.CAT, s.bank)
@@ -278,12 +323,19 @@ func NewWithGenerators(cfg Config, gens []workload.Generator) (*System, error) {
 	}
 	for i, gen := range gens {
 		if gen == nil {
-			return nil, fmt.Errorf("sim: nil generator for core %d", i)
+			return fmt.Errorf("sim: nil generator for core %d", i)
 		}
-		core, err := cpu.New(i, cfg.Core, gen.Spec(), gen,
-			cache.New(cfg.L1), cache.New(cfg.L2), prefetch.NewUnit(cfg.Prefetch), s)
+		var l1, l2 *cache.Cache
+		if oldCores != nil {
+			l1, l2 = oldCores[i].L1(), oldCores[i].L2()
+			l1.Reset()
+			l2.Reset()
+		} else {
+			l1, l2 = cache.New(cfg.L1), cache.New(cfg.L2)
+		}
+		core, err := cpu.New(i, cfg.Core, gen.Spec(), gen, l1, l2, prefetch.NewUnit(cfg.Prefetch), s)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.cores = append(s.cores, core)
 	}
@@ -292,7 +344,56 @@ func NewWithGenerators(cfg Config, gens []workload.Generator) (*System, error) {
 		s.nodeCores[nd] = s.cores[nd*cpn : (nd+1)*cpn : (nd+1)*cpn]
 	}
 	s.bank.AddWatcher(msr.WatcherFunc(s.msrWritten))
-	return s, nil
+	return nil
+}
+
+// CopyFrom makes s an exact copy of src: caches, prefetcher training,
+// cores and their PMU counters, memory controllers, MSR registers, the
+// cached CAT masks and the clock. Generators are cloned, so advancing
+// either machine afterwards never moves the other; both produce, cycle
+// for cycle, what src alone would have. The CAT allocator holds no state
+// beyond its bank, and s keeps its own bank watcher, so MSR writes to the
+// copy steer the copy. src is only read, so several machines may copy
+// one source concurrently. Both machines must have the same Config and
+// core count.
+func (s *System) CopyFrom(src *System) error {
+	if s == src {
+		return nil
+	}
+	if s.cfg != src.cfg || len(s.cores) != len(src.cores) {
+		return fmt.Errorf("sim: CopyFrom between machines of different shape")
+	}
+	for i, c := range s.cores {
+		c.CopyFrom(src.cores[i])
+	}
+	for nd := range s.llcs {
+		s.llcs[nd].CopyFrom(src.llcs[nd])
+		s.memcs[nd].CopyFrom(src.memcs[nd])
+	}
+	s.bank.CopyFrom(src.bank)
+	copy(s.hot, src.hot)
+	s.masksDirty, s.now, s.rotate = src.masksDirty, src.now, src.rotate
+	return nil
+}
+
+// Clone returns a new machine that is an exact copy of s (see CopyFrom).
+// To copy repeatedly, recycle one machine with CopyFrom instead: a
+// machine's caches are megabytes.
+func (s *System) Clone() *System {
+	// The new machine borrows s's generators only until CopyFrom replaces
+	// them with clones; building a core reads just their Specs.
+	gens := make([]workload.Generator, len(s.cores))
+	for i, c := range s.cores {
+		gens[i] = c.Generator()
+	}
+	c, err := NewWithGenerators(s.cfg, gens)
+	if err == nil {
+		err = c.CopyFrom(s)
+	}
+	if err != nil {
+		panic(err) // s was built from this Config and these generators
+	}
+	return c
 }
 
 // Config returns the machine configuration (including any CAT package

@@ -208,5 +208,12 @@ func (t *Replayer) Reset() { t.pos = 0 }
 // Spec implements workload.Generator.
 func (t *Replayer) Spec() workload.Spec { return t.spec }
 
+// Clone implements workload.Generator. The decoded trace is immutable
+// and shared; only the replay position is copied.
+func (t *Replayer) Clone() workload.Generator {
+	c := *t
+	return &c
+}
+
 // Len returns the trace length in references.
 func (t *Replayer) Len() int { return len(t.pcs) }

@@ -200,3 +200,37 @@ func BenchmarkWriterAdd(b *testing.B) {
 		tw.Add(uint64(i), uint64(i)*64)
 	}
 }
+
+// TestReplayerClone: a clone replays from its source's position and the
+// two advance independently.
+func TestReplayerClone(t *testing.T) {
+	gen, _ := workload.New(streamSpec(), 1)
+	var buf bytes.Buffer
+	if err := Record(&buf, gen, 50); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplayer(bytes.NewReader(buf.Bytes()), streamSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 37; i++ {
+		rep.Next()
+	}
+	c := rep.Clone()
+	for i := 0; i < 80; i++ { // wraps past the end of the trace
+		pc, addr := c.Next()
+		if wpc, waddr := rep.Next(); pc != wpc || addr != waddr {
+			t.Fatalf("clone diverged at ref %d", i)
+		}
+	}
+	c.Next()
+	c.Next()
+	cpc, caddr := c.Next()
+	rpc, raddr := rep.Next()
+	if cpc == rpc && caddr == raddr {
+		t.Fatal("clone and source advanced together")
+	}
+	if c.Spec() != rep.Spec() {
+		t.Fatal("clone changed the spec")
+	}
+}

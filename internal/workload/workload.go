@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 )
 
 // Pattern selects a reference-stream shape.
@@ -143,6 +144,34 @@ type Generator interface {
 	Reset()
 	// Spec returns the generating spec.
 	Spec() Spec
+	// Clone returns an independent generator in exactly this one's
+	// state: both produce the same stream from here on, and advancing
+	// either never moves the other. Immutable tables are shared.
+	Clone() Generator
+}
+
+// rng is a math/rand generator that can be cloned exactly. rand.Rand
+// keeps no state of its own beyond its source (Read's buffer aside, which
+// the generators never use), so copying the source copies the generator.
+type rng struct {
+	*rand.Rand
+	src rand.Source
+}
+
+func newRNG(seed int64) rng {
+	src := rand.NewSource(seed)
+	return rng{rand.New(src), src}
+}
+
+// clone copies the source's state. The standard source is a pointer to
+// a flat struct of integers (its lagged Fibonacci state), so copying the
+// pointed-to value copies the state exactly.
+func (r rng) clone() rng {
+	v := reflect.ValueOf(r.src).Elem()
+	c := reflect.New(v.Type())
+	c.Elem().Set(v)
+	src := c.Interface().(rand.Source)
+	return rng{rand.New(src), src}
 }
 
 // New builds the generator for a spec. It returns an error if the spec is
@@ -219,6 +248,15 @@ func (g *streamGen) Reset() {
 
 func (g *streamGen) Spec() Spec { return g.spec }
 
+// base is fixed after construction and shared.
+func (g *streamGen) Clone() Generator { return g.clone() }
+
+func (g *streamGen) clone() *streamGen {
+	c := *g
+	c.pos = append([]uint64(nil), g.pos...)
+	return &c
+}
+
 // stridedGen steps by a fixed stride, wrapping within the working set.
 type stridedGen struct {
 	spec Spec
@@ -239,14 +277,15 @@ func (g *stridedGen) Next() (uint64, uint64) {
 	return 0x500000, addr
 }
 
-func (g *stridedGen) Reset()     { g.pos = 0 }
-func (g *stridedGen) Spec() Spec { return g.spec }
+func (g *stridedGen) Reset()           { g.pos = 0 }
+func (g *stridedGen) Spec() Spec       { return g.spec }
+func (g *stridedGen) Clone() Generator { c := *g; return &c }
 
 // randomLineGen touches uniform random lines, occasionally (Locality) the
 // adjacent line right after.
 type randomLineGen struct {
 	spec    Spec
-	rng     *rand.Rand
+	rng     rng
 	seed    int64
 	lines   int64
 	pending uint64 // adjacent-line follow-up, 0 when none
@@ -255,7 +294,7 @@ type randomLineGen struct {
 func newRandomLine(s Spec, seed int64) *randomLineGen {
 	return &randomLineGen{
 		spec:  s,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   newRNG(seed),
 		seed:  seed,
 		lines: s.WorkingSet / LineBytes,
 	}
@@ -276,11 +315,19 @@ func (g *randomLineGen) Next() (uint64, uint64) {
 }
 
 func (g *randomLineGen) Reset() {
-	g.rng = rand.New(rand.NewSource(g.seed))
+	g.rng = newRNG(g.seed)
 	g.pending = 0
 }
 
 func (g *randomLineGen) Spec() Spec { return g.spec }
+
+func (g *randomLineGen) Clone() Generator { return g.clone() }
+
+func (g *randomLineGen) clone() *randomLineGen {
+	c := *g
+	c.rng = g.rng.clone()
+	return &c
+}
 
 // chaseGen follows a random permutation of the working set's lines —
 // dependent accesses with full reuse each lap.
@@ -295,11 +342,11 @@ func newChase(s Spec, seed int64) *chaseGen {
 	if n < 2 {
 		n = 2
 	}
-	rng := rand.New(rand.NewSource(seed))
+	r := rand.New(rand.NewSource(seed))
 	// Build a single cycle (Sattolo's algorithm) so the chase visits
 	// every line before any reuse.
 	perm := make([]uint32, n)
-	order := rng.Perm(int(n))
+	order := r.Perm(int(n))
 	for i := 0; i < int(n)-1; i++ {
 		perm[order[i]] = uint32(order[i+1])
 	}
@@ -316,12 +363,15 @@ func (g *chaseGen) Next() (uint64, uint64) {
 func (g *chaseGen) Reset()     { g.cur = 0 }
 func (g *chaseGen) Spec() Spec { return g.spec }
 
+// perm is fixed after construction and shared.
+func (g *chaseGen) Clone() Generator { c := *g; return &c }
+
 // randBurstGen is the paper's Rand Access microbenchmark: random jumps
 // followed by short ascending line runs that train the streamer into
 // issuing useless prefetches.
 type randBurstGen struct {
 	spec  Spec
-	rng   *rand.Rand
+	rng   rng
 	seed  int64
 	lines int64
 	line  int64
@@ -331,7 +381,7 @@ type randBurstGen struct {
 func newRandBurst(s Spec, seed int64) *randBurstGen {
 	return &randBurstGen{
 		spec:  s,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   newRNG(seed),
 		seed:  seed,
 		lines: s.WorkingSet / LineBytes,
 	}
@@ -352,11 +402,17 @@ func (g *randBurstGen) Next() (uint64, uint64) {
 }
 
 func (g *randBurstGen) Reset() {
-	g.rng = rand.New(rand.NewSource(g.seed))
+	g.rng = newRNG(g.seed)
 	g.left = 0
 }
 
 func (g *randBurstGen) Spec() Spec { return g.spec }
+
+func (g *randBurstGen) Clone() Generator {
+	c := *g
+	c.rng = g.rng.clone()
+	return &c
+}
 
 // computeGen loops over a tiny buffer with slight randomness in the PC to
 // mimic a compute-bound kernel's sparse loads.
@@ -376,8 +432,9 @@ func (g *computeGen) Next() (uint64, uint64) {
 	return 0x900000, addr
 }
 
-func (g *computeGen) Reset()     { g.pos = 0 }
-func (g *computeGen) Spec() Spec { return g.spec }
+func (g *computeGen) Reset()           { g.pos = 0 }
+func (g *computeGen) Spec() Spec       { return g.spec }
+func (g *computeGen) Clone() Generator { c := *g; return &c }
 
 // phasedGen alternates between a streaming sub-generator and a random
 // sub-generator every PhaseRefs references.
@@ -426,3 +483,10 @@ func (g *phasedGen) Reset() {
 }
 
 func (g *phasedGen) Spec() Spec { return g.spec }
+
+func (g *phasedGen) Clone() Generator {
+	c := *g
+	c.stream = g.stream.clone()
+	c.random = g.random.clone()
+	return &c
+}

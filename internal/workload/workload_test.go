@@ -363,3 +363,70 @@ func TestPhasedReset(t *testing.T) {
 		}
 	}
 }
+
+// cloneSpecs has one spec per pattern, with Locality and phases that make
+// every generator's state matter within a few thousand references.
+func cloneSpecs() []Spec {
+	return []Spec{
+		{Name: "stream", Pattern: Stream, WorkingSet: 1 << 20, StepBytes: 8, Streams: 3, MLP: 1},
+		{Name: "strided", Pattern: Strided, WorkingSet: 1 << 20, StrideBytes: -192, MLP: 1},
+		{Name: "random", Pattern: RandomLine, WorkingSet: 1 << 20, Locality: 0.5, MLP: 1},
+		{Name: "chase", Pattern: PointerChase, WorkingSet: 1 << 16, MLP: 1},
+		{Name: "randburst", Pattern: RandBurst, WorkingSet: 1 << 20, Burst: 5, MLP: 1},
+		{Name: "compute", Pattern: Compute, WorkingSet: 4096, MLP: 1},
+		{Name: "phased", Pattern: Phased, WorkingSet: 1 << 20, StepBytes: 64, PhaseRefs: 700, MLP: 1},
+	}
+}
+
+func nextN(g Generator, n int) [][2]uint64 {
+	out := make([][2]uint64, n)
+	for i := range out {
+		pc, addr := g.Next()
+		out[i] = [2]uint64{pc, addr}
+	}
+	return out
+}
+
+// TestGeneratorCloneIndependent: a clone continues exactly where its
+// source was, advancing it never moves the source, and both keep their
+// own Reset.
+func TestGeneratorCloneIndependent(t *testing.T) {
+	for _, s := range cloneSpecs() {
+		t.Run(s.Name, func(t *testing.T) {
+			ref := mustGen(t, s, 21)
+			src := mustGen(t, s, 21)
+			nextN(ref, 3001)
+			nextN(src, 3001)
+			c := src.Clone()
+			want := nextN(ref, 4000)
+			got := nextN(c, 4000)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("clone diverged at ref %d: %v, want %v", i, got[i], want[i])
+				}
+			}
+			if srcNext := nextN(src, 4000); !equalRefs(srcNext, want) {
+				t.Fatal("advancing the clone moved its source")
+			}
+			if c.Spec() != src.Spec() {
+				t.Fatal("clone changed the spec")
+			}
+			c.Reset()
+			if !equalRefs(nextN(c, 500), nextN(mustGen(t, s, 21), 500)) {
+				t.Fatal("Reset on the clone did not restart the stream")
+			}
+		})
+	}
+}
+
+func equalRefs(a, b [][2]uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
