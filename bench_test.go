@@ -372,17 +372,6 @@ func trimFloat(f float64) string {
 	return strings.ReplaceAll(s, ".", "p")
 }
 
-// BenchmarkExtensionMBA compares CMM-a with the CMM-mba extension
-// (bandwidth rate-limiting instead of prefetcher disabling).
-func BenchmarkExtensionMBA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, policy := range []string{"CMM-a", "CMM-mba"} {
-			ev := evaluateMix(b, mixes.PrefAgg, policy)
-			b.ReportMetric(ev.NormWS, "ws_"+strings.ReplaceAll(policy, "-", "_"))
-		}
-	}
-}
-
 // BenchmarkRunEpochs measures the controller's full epoch loop — the
 // simulator inner loop plus profiling intervals, detection, and combo
 // sampling — on an 8-core prefetch-unfriendly mix under CMM-a. This is

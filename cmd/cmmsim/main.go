@@ -293,7 +293,6 @@ func runBWSweep(w io.Writer, opts experiments.Options, jsonPath string, asCSV bo
 		&cmm.Coordinated{Variant: cmm.VariantA},
 		&cmm.Coordinated{Variant: cmm.VariantB},
 		&cmm.Coordinated{Variant: cmm.VariantC},
-		cmm.CoordinatedMBA{},
 		&cmm.CPBW{},
 		&cmm.CPBWPT{},
 	}

@@ -268,8 +268,9 @@ type Decision struct {
 	PartitionMasks []uint64
 	// FellBackToDunn reports the empty-Agg fallback.
 	FellBackToDunn bool
-	// MBAThrottled lists cores rate-limited by the CMM-mba extension,
-	// with MBAPercent the programmed delay value.
+	// MBAThrottled lists cores whose memory bandwidth the CBP policies
+	// (CP+BW, CP+BW+PT) rate-limit, with MBAPercent the programmed delay
+	// value.
 	MBAThrottled []int
 	MBAPercent   uint64
 	// Summary is a one-line human-readable description.

@@ -9,8 +9,8 @@ import (
 // MBA models Intel Memory Bandwidth Allocation, the RDT companion of CAT:
 // per-CLOS request-rate throttling expressed as a delay percentage. The
 // paper's related work (Liu et al.) studies the interaction of prefetching
-// with bandwidth partitioning; the CMM-mba extension policy uses this
-// knob instead of outright prefetcher disabling.
+// with bandwidth partitioning; the CBP policies (CP+BW, CP+BW+PT) profile
+// this knob alongside cache partitioning and prefetch throttling.
 
 // MBAMaxPercent is the largest supported throttling value.
 const MBAMaxPercent = 90

@@ -166,7 +166,7 @@ func (r *runCountTarget) RunCycles(n uint64) {
 // (An undercount would flatter the CBP policies in the epoch-overhead
 // comparison of sampled intervals vs. decision quality.)
 func TestCBPSampledCombosCountsEveryProfilingRun(t *testing.T) {
-	for _, p := range []Policy{&CPBW{}, &CPBWPT{}, CoordinatedMBA{}} {
+	for _, p := range []Policy{&CPBW{}, &CPBWPT{}} {
 		t.Run(p.Name(), func(t *testing.T) {
 			rt := &runCountTarget{fakeTarget: newFakeTarget(cbpCores())}
 			dec, err := p.Epoch(rt, DefaultConfig(), make([]pmu.Sample, 3))

@@ -48,11 +48,6 @@ type Config struct {
 	// (paper: "1.5 times the size of the Agg set works well").
 	PartitionFactor float64
 
-	// MBAPercent is the Memory Bandwidth Allocation throttling applied to
-	// prefetch-unfriendly cores by the CMM-mba extension (a multiple of
-	// 10 in [0,90]).
-	MBAPercent uint64
-
 	// MBALevels is the grid of MBA delay percentages the CBP policies
 	// (CP+BW, CP+BW+PT) profile per throttle-entity candidate, each a
 	// multiple of 10 in [0,90]. Listed gentlest-first: single-entity
@@ -94,7 +89,6 @@ func DefaultConfig() Config {
 		MaxIndividual:      3,
 		Groups:             3,
 		PartitionFactor:    1.5,
-		MBAPercent:         50,
 		MBALevels:          []uint64{10, 40},
 		MBASampleBudget:    8,
 		MBARefreshEpochs:   4,
@@ -128,8 +122,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cmm: Groups %d must be >= 1", c.Groups)
 	case c.PartitionFactor <= 0:
 		return fmt.Errorf("cmm: PartitionFactor %g must be positive", c.PartitionFactor)
-	case c.MBAPercent > 90 || c.MBAPercent%10 != 0:
-		return fmt.Errorf("cmm: MBAPercent %d must be a multiple of 10 in [0,90]", c.MBAPercent)
 	case c.MBASampleBudget < 0:
 		return fmt.Errorf("cmm: MBASampleBudget %d must be >= 0", c.MBASampleBudget)
 	case c.MBARefreshEpochs < 1:

@@ -388,10 +388,9 @@ func Policies() []Policy {
 
 // ExtensionPolicies returns back ends beyond the paper's evaluated set:
 // PT-fine (the per-prefetcher throttling variant the paper leaves as an
-// option), CMM-mba (fixed MBA throttling of the unfriendly class), and
-// the CBP three-way coordination policies CP+BW and CP+BW+PT.
+// option) and the CBP three-way coordination policies CP+BW and CP+BW+PT.
 func ExtensionPolicies() []Policy {
-	return []Policy{FinePT{}, CoordinatedMBA{}, &CPBW{}, &CPBWPT{}}
+	return []Policy{FinePT{}, &CPBW{}, &CPBWPT{}}
 }
 
 // PolicyByName returns the policy with the given report name, searching

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cmm/internal/cmm"
+	"cmm/internal/mixes"
 	"cmm/internal/msr"
 	"cmm/internal/sim"
 	"cmm/internal/workload"
@@ -141,28 +142,54 @@ func TestSimDunnProducesNestedMasks(t *testing.T) {
 	}
 }
 
+// TestSimMBAPolicyProgramsThrottle follows a bandwidth decision down to
+// the memory controller: on a bandwidth-saturated mix CP+BW+PT's profiled
+// MBA delay must reach mem.Controller.Throttle for exactly the cores the
+// decision names.
 func TestSimMBAPolicyProgramsThrottle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator integration is slow")
 	}
-	sys := quadSystem(t)
-	ctrl, err := cmm.NewController(quickCfg(), cmm.NewSimTarget(sys), cmm.CoordinatedMBA{})
+	fam, err := mixes.BWSaturated(8, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.New(sim.DefaultConfig(), fam[0].Specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := cmm.NewController(quickCfg(), cmm.NewSimTarget(sys), &cmm.CPBWPT{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ctrl.RunEpochs(2); err != nil {
 		t.Fatal(err)
 	}
+	// The machine applies CAT/MBA register writes when it next runs.
+	sys.Run(1)
 	d := ctrl.LastDecision()
-	if len(d.MBAThrottled) == 0 {
+	if len(d.MBAThrottled) == 0 || d.MBAPercent == 0 {
 		t.Fatalf("no MBA throttling applied: %+v", d)
 	}
-	// The memory controller must be applying the delay to those cores.
-	for _, c := range d.MBAThrottled {
-		if sys.Memory().Throttle(c) == 0 {
-			t.Fatalf("core %d not throttled at the memory controller", c)
+	for c := 0; c < sys.NumCores(); c++ {
+		got := sys.Memory().Throttle(c)
+		want := 0.0
+		if containsCore(d.MBAThrottled, c) {
+			want = float64(d.MBAPercent) / 100
+		}
+		if got != want {
+			t.Errorf("core %d throttled %.2f at the memory controller, decision says %.2f", c, got, want)
 		}
 	}
+}
+
+func containsCore(cores []int, c int) bool {
+	for _, x := range cores {
+		if x == c {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSimControllerAdaptsToPhases(t *testing.T) {

@@ -88,7 +88,7 @@ type Event struct {
 	// intervals) — the per-epoch form of the paper's overhead claim.
 	ExecCycles uint64 `json:"exec_cycles,omitempty"`
 	ProfCycles uint64 `json:"prof_cycles,omitempty"`
-	// MBAThrottled/MBAPercent mirror the CMM-mba extension's decision.
+	// MBAThrottled/MBAPercent mirror the CBP policies' bandwidth decision.
 	MBAThrottled []int  `json:"mba_throttled,omitempty"`
 	MBAPercent   uint64 `json:"mba_percent,omitempty"`
 	// MBALevels maps core index to the programmed MBA delay level (absent
