@@ -3,7 +3,6 @@ package cmm
 import (
 	"fmt"
 
-	"cmm/internal/cat"
 	"cmm/internal/pmu"
 )
 
@@ -51,8 +50,15 @@ type Coordinated struct {
 	// Variant selects the Fig. 6 layout (default VariantA).
 	Variant Variant
 
-	gate comboGate
-	ents entityScratch
+	st pipelineState
+}
+
+// coordinated is the CMM-a/b/c pipeline: Dunn when quiet, the sampled
+// split (or the gate's reassert), the variant's layout, and group-level
+// throttling of the unfriendly class. The layouts are numbered as the
+// variants.
+func coordinated(v Variant) pipeline {
+	return pipeline{dunn: true, split: true, layout: layout(v), throttle: true}
 }
 
 // Name implements Policy.
@@ -64,137 +70,8 @@ func (p *Coordinated) Clone() Policy { return &Coordinated{Variant: p.Variant} }
 
 // Epoch implements Policy.
 func (p *Coordinated) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
-	// Sampling interval 1: all prefetchers on — detection statistics.
-	if err := setPrefetchers(t, nil); err != nil {
-		return Decision{}, err
+	if p.Variant > VariantC {
+		return Decision{}, fmt.Errorf("cmm: unknown variant %d", p.Variant)
 	}
-	probe := sampleInterval(t, cfg.SamplingInterval)
-	det := DetectAgg(probe, t.CoreGHz(), cfg)
-	dec := Decision{Policy: p.Name(), Detection: det, SampledCombos: 1}
-	return p.epochWithDetection(t, cfg, probe, det, dec, exec)
-}
-
-// epochWithDetection finishes an epoch whose detection probe already ran:
-// friendliness split, variant partitioning, and the combo search. The
-// learned policy (CMM-L) calls it directly on a fallback so the probe it
-// predicted from is reused rather than re-sampled; dec carries the
-// caller's policy name and any prediction metadata through untouched.
-func (p *Coordinated) epochWithDetection(t Target, cfg Config, probe []pmu.Sample, det Detection, dec Decision, exec []pmu.Sample) (Decision, error) {
-	if len(det.Agg) == 0 {
-		// Fig. 6(d): nothing aggressive — Dunn partitioning instead.
-		p.gate.reset()
-		plan, err := dunnPlan(t, exec)
-		if err != nil {
-			return Decision{}, err
-		}
-		if err := applyPlan(t, plan); err != nil {
-			return Decision{}, err
-		}
-		dec.Plan = &plan
-		dec.FellBackToDunn = true
-		return dec, nil
-	}
-
-	if p.gate.fresh(cfg, det.Agg) {
-		// Gated epoch: the Agg set is unchanged and the cached profile is
-		// young — reassert it for the detection probe's cost alone.
-		p.gate.age++
-		dec.Friendly = append([]int(nil), p.gate.friendly...)
-		dec.Unfriendly = append([]int(nil), p.gate.unfriendly...)
-		plan, err := p.plan(t, cfg, dec.Friendly, dec.Unfriendly, det.Agg)
-		if err != nil {
-			return Decision{}, err
-		}
-		if err := applyPlan(t, plan); err != nil {
-			return Decision{}, err
-		}
-		dec.Plan = &plan
-		dec.BestScore = p.gate.score
-		if len(p.gate.disabled) > 0 {
-			dec.Disabled = append([]int(nil), p.gate.disabled...)
-		}
-		if err := setPrefetchers(t, dec.Disabled); err != nil {
-			return Decision{}, err
-		}
-		return dec, nil
-	}
-
-	// Sampling interval 2: Agg prefetchers off — friendliness split.
-	ipcOn := ipcsOf(probe)
-	if err := setPrefetchers(t, det.Agg); err != nil {
-		return Decision{}, err
-	}
-	off := sampleInterval(t, cfg.SamplingInterval)
-	dec.SampledCombos++
-	ipcOff := ipcsOf(off)
-	if err := setPrefetchers(t, nil); err != nil {
-		return Decision{}, err
-	}
-	dec.Friendly, dec.Unfriendly = SplitFriendly(det.Agg, ipcOn, ipcOff, cfg.FriendlyThreshold)
-
-	// Partition per the variant.
-	plan, err := p.plan(t, cfg, dec.Friendly, dec.Unfriendly, det.Agg)
-	if err != nil {
-		return Decision{}, err
-	}
-	if err := applyPlan(t, plan); err != nil {
-		return Decision{}, err
-	}
-	dec.Plan = &plan
-
-	// Group-level throttling of the unfriendly cores only.
-	if len(dec.Unfriendly) > 0 {
-		ents := p.ents.entities(dec.Unfriendly, det.PTR, cfg)
-		best, score, _, _, sampled, err := comboSearch(t, cfg, ents)
-		if err != nil {
-			return Decision{}, err
-		}
-		dec.SampledCombos += sampled
-		dec.BestScore = score
-		dec.Disabled = disabledFor(ents, best)
-		if err := setPrefetchers(t, dec.Disabled); err != nil {
-			return Decision{}, err
-		}
-	}
-	p.gate.store(det.Agg, dec.Friendly, dec.Unfriendly, dec.Disabled, dec.BestScore)
-	return dec, nil
-}
-
-// plan builds the Fig. 6 layout for the variant.
-func (p *Coordinated) plan(t Target, cfg Config, friendly, unfriendly, agg []int) (cat.Plan, error) {
-	catCfg := t.CATConfig()
-	switch p.Variant {
-	case VariantA:
-		return planPartitions(t, []partitionGroup{{
-			cores: agg,
-			start: 0,
-			ways:  aggWays(cfg, catCfg, len(agg)),
-		}})
-	case VariantB:
-		return planPartitions(t, []partitionGroup{{
-			cores: friendly,
-			start: 0,
-			ways:  aggWays(cfg, catCfg, len(friendly)),
-		}})
-	case VariantC:
-		wF := aggWays(cfg, catCfg, len(friendly))
-		wU := aggWays(cfg, catCfg, len(unfriendly))
-		groups := []partitionGroup{}
-		if len(friendly) > 0 {
-			groups = append(groups, partitionGroup{cores: friendly, start: 0, ways: wF})
-		}
-		if len(unfriendly) > 0 {
-			start := 0
-			if len(friendly) > 0 {
-				start = wF
-			}
-			if start+wU > catCfg.Ways {
-				start = catCfg.Ways - wU
-			}
-			groups = append(groups, partitionGroup{cores: unfriendly, start: start, ways: wU})
-		}
-		return planPartitions(t, groups)
-	default:
-		return cat.Plan{}, fmt.Errorf("cmm: unknown variant %d", p.Variant)
-	}
+	return coordinated(p.Variant).epoch(t, cfg, exec, &p.st, p.Name())
 }

@@ -38,19 +38,18 @@ func (p FinePT) Clone() Policy { return p }
 
 // Epoch implements Policy.
 func (FinePT) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
-	if err := setPrefetchers(t, nil); err != nil {
+	samples, dec, err := probe(t, cfg, "PT-fine")
+	if err != nil {
 		return Decision{}, err
 	}
-	probe := sampleInterval(t, cfg.SamplingInterval)
-	det := DetectAgg(probe, t.CoreGHz(), cfg)
-	dec := Decision{Policy: "PT-fine", Detection: det, SampledCombos: 1}
+	det := dec.Detection
 	if len(det.Agg) == 0 {
 		return dec, nil
 	}
 
 	// Start from all-on and greedily accumulate disable bits.
 	state := make(map[int]uint64, len(det.Agg))
-	bestScore := metrics.HarmonicMeanIPC(ipcsOf(probe))
+	bestScore := metrics.HarmonicMeanIPC(ipcsOf(samples))
 	apply := func() error {
 		for _, c := range det.Agg {
 			if err := t.WriteMSR(c, msr.MiscFeatureControl, state[c]); err != nil {

@@ -37,8 +37,9 @@ const DefaultConfidence = 0.8
 type Learned struct {
 	model     *learn.Model
 	threshold float64
-	base      Coordinated
 	drift     *driftMonitor
+	// st is the CMM-a pipeline's state for the sampling path.
+	st pipelineState
 }
 
 // NewLearned builds the CMM-L policy around a validated model. A
@@ -53,7 +54,7 @@ func NewLearned(m *learn.Model, threshold float64) (*Learned, error) {
 	if threshold <= 0 {
 		threshold = DefaultConfidence
 	}
-	return &Learned{model: m, threshold: threshold, base: Coordinated{Variant: VariantA}}, nil
+	return &Learned{model: m, threshold: threshold}, nil
 }
 
 // Name implements Policy.
@@ -87,15 +88,15 @@ func (p *Learned) DriftStats() (DriftStats, bool) {
 	return p.drift.stats(), true
 }
 
-// Clone implements Policy. The model is immutable, but the embedded CMM-a
-// fallback accumulates gate/scratch state across epochs, so it is reset to
-// a fresh instance rather than shallow-copied (two clones must never share
-// its cached slices). The drift monitor, when enabled, IS shared by the
+// Clone implements Policy. The model is immutable, but the CMM-a sampling
+// path accumulates gate/scratch state across epochs, so it is reset to a
+// fresh state rather than shallow-copied (two clones must never share its
+// cached slices). The drift monitor, when enabled, IS shared by the
 // shallow copy: demotion is a property of the served model, not of one
 // job's clone (see EnableDrift).
 func (p *Learned) Clone() Policy {
 	cp := *p
-	cp.base = Coordinated{Variant: p.base.Variant}
+	cp.st = pipelineState{}
 	return &cp
 }
 
@@ -103,17 +104,16 @@ func (p *Learned) Clone() Policy {
 func (p *Learned) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
 	// Sampling interval 1: all prefetchers on — detection statistics and
 	// the model's features come from the same probe.
-	if err := setPrefetchers(t, nil); err != nil {
+	samples, dec, err := probe(t, cfg, p.Name())
+	if err != nil {
 		return Decision{}, err
 	}
-	probe := sampleInterval(t, cfg.SamplingInterval)
-	det := DetectAgg(probe, t.CoreGHz(), cfg)
-	dec := Decision{Policy: p.Name(), Detection: det, SampledCombos: 1}
+	det := dec.Detection
 
 	if len(det.Agg) == 0 {
 		// Fig. 6(d): nothing to predict about — same Dunn fallback as
 		// CMM-a. Not counted as a learn fallback: no prediction was due.
-		return p.base.epochWithDetection(t, cfg, probe, det, dec, exec)
+		return coordinated(VariantA).finish(t, cfg, exec, &p.st, samples, dec)
 	}
 
 	if p.drift != nil && p.drift.demotedNow() {
@@ -121,7 +121,7 @@ func (p *Learned) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, erro
 		// so every epoch runs the CMM-a sampling path — byte-identical
 		// machine programming to CMM-a, no predictions consulted — until a
 		// newly promoted model replaces this policy instance.
-		return p.base.epochWithDetection(t, cfg, probe, det, dec, exec)
+		return coordinated(VariantA).finish(t, cfg, exec, &p.st, samples, dec)
 	}
 
 	throttle, minConf := p.predict(det)
@@ -130,7 +130,7 @@ func (p *Learned) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, erro
 		// Low confidence: run CMM-a's sampling path on the same probe and
 		// let the resulting event re-enter the training corpus.
 		dec.LearnFallback = true
-		return p.finishSampled(t, cfg, probe, det, dec, exec, throttle)
+		return p.finishSampled(t, cfg, samples, dec, exec, throttle)
 	}
 
 	if p.drift != nil && p.drift.auditDue() {
@@ -140,20 +140,15 @@ func (p *Learned) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, erro
 		// CMM-a epoch; bounds how stale the drift window can get when the
 		// model is never unsure.
 		dec.ShadowAudit = true
-		return p.finishSampled(t, cfg, probe, det, dec, exec, throttle)
+		return p.finishSampled(t, cfg, samples, dec, exec, throttle)
 	}
 
 	// Confident: act on the prediction. VariantA's layout depends only on
 	// the Agg set, so no friendliness-split interval is needed either.
 	dec.Predicted = true
-	plan, err := p.base.plan(t, cfg, nil, nil, det.Agg)
-	if err != nil {
+	if _, err := layoutAgg.apply(t, cfg, &dec); err != nil {
 		return Decision{}, err
 	}
-	if err := applyPlan(t, plan); err != nil {
-		return Decision{}, err
-	}
-	dec.Plan = &plan
 	dec.Disabled = throttle
 	if err := setPrefetchers(t, dec.Disabled); err != nil {
 		return Decision{}, err
@@ -166,13 +161,13 @@ func (p *Learned) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, erro
 // sampled ground truth) comparison to the drift monitor. The demotion
 // transition, when this observation trips it, is flagged on the decision
 // so the telemetry stream records the event exactly once.
-func (p *Learned) finishSampled(t Target, cfg Config, probe []pmu.Sample, det Detection,
+func (p *Learned) finishSampled(t Target, cfg Config, samples []pmu.Sample,
 	dec Decision, exec []pmu.Sample, predicted []int) (Decision, error) {
-	res, err := p.base.epochWithDetection(t, cfg, probe, det, dec, exec)
+	res, err := coordinated(VariantA).finish(t, cfg, exec, &p.st, samples, dec)
 	if err != nil || p.drift == nil {
 		return res, err
 	}
-	if p.drift.observe(det.Agg, predicted, res.Disabled) {
+	if p.drift.observe(dec.Detection.Agg, predicted, res.Disabled) {
 		res.LearnDemoted = true
 	}
 	return res, nil

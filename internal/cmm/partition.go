@@ -143,37 +143,14 @@ func (PrefCP) Name() string { return "Pref-CP" }
 func (p PrefCP) Clone() Policy { return p }
 
 // Epoch implements Policy.
-func (PrefCP) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
-	if err := setPrefetchers(t, nil); err != nil {
-		return Decision{}, err
-	}
-	probe := sampleInterval(t, cfg.SamplingInterval)
-	det := DetectAgg(probe, t.CoreGHz(), cfg)
-	dec := Decision{Policy: "Pref-CP", Detection: det, SampledCombos: 1}
-	if len(det.Agg) == 0 {
-		if err := resetCAT(t); err != nil {
-			return Decision{}, err
-		}
-		return dec, nil
-	}
-	plan, err := planPartitions(t, []partitionGroup{{
-		cores: det.Agg,
-		start: 0,
-		ways:  aggWays(cfg, t.CATConfig(), len(det.Agg)),
-	}})
-	if err != nil {
-		return Decision{}, err
-	}
-	if err := applyPlan(t, plan); err != nil {
-		return Decision{}, err
-	}
-	dec.Plan = &plan
-	return dec, nil
+func (p PrefCP) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
+	return pipeline{layout: layoutAgg}.epoch(t, cfg, exec, nil, p.Name())
 }
 
 // PrefCP2 is the paper's second plan: split the Agg set into prefetch-
-// friendly and -unfriendly subsets (measured over two sampling intervals)
-// and give each its own small partition. Prefetchers stay enabled.
+// friendly and -unfriendly subsets (measured over two sampling intervals:
+// "CP just needs the first two sampling intervals") and give each its own
+// small partition. Prefetchers stay enabled.
 type PrefCP2 struct{}
 
 // Name implements Policy.
@@ -183,58 +160,6 @@ func (PrefCP2) Name() string { return "Pref-CP2" }
 func (p PrefCP2) Clone() Policy { return p }
 
 // Epoch implements Policy.
-func (PrefCP2) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
-	if err := setPrefetchers(t, nil); err != nil {
-		return Decision{}, err
-	}
-	probe := sampleInterval(t, cfg.SamplingInterval)
-	det := DetectAgg(probe, t.CoreGHz(), cfg)
-	dec := Decision{Policy: "Pref-CP2", Detection: det, SampledCombos: 1}
-	if len(det.Agg) == 0 {
-		if err := resetCAT(t); err != nil {
-			return Decision{}, err
-		}
-		return dec, nil
-	}
-
-	// Second sampling interval: Agg prefetchers off, for the usefulness
-	// split ("CP just needs the first two sampling intervals").
-	ipcOn := ipcsOf(probe)
-	if err := setPrefetchers(t, det.Agg); err != nil {
-		return Decision{}, err
-	}
-	off := sampleInterval(t, cfg.SamplingInterval)
-	dec.SampledCombos++
-	ipcOff := ipcsOf(off)
-	if err := setPrefetchers(t, nil); err != nil {
-		return Decision{}, err
-	}
-	dec.Friendly, dec.Unfriendly = SplitFriendly(det.Agg, ipcOn, ipcOff, cfg.FriendlyThreshold)
-
-	catCfg := t.CATConfig()
-	wF := aggWays(cfg, catCfg, len(dec.Friendly))
-	wU := aggWays(cfg, catCfg, len(dec.Unfriendly))
-	groups := []partitionGroup{}
-	if len(dec.Friendly) > 0 {
-		groups = append(groups, partitionGroup{cores: dec.Friendly, start: 0, ways: wF})
-	}
-	if len(dec.Unfriendly) > 0 {
-		start := 0
-		if len(dec.Friendly) > 0 {
-			start = wF
-		}
-		if start+wU > catCfg.Ways {
-			start = catCfg.Ways - wU
-		}
-		groups = append(groups, partitionGroup{cores: dec.Unfriendly, start: start, ways: wU})
-	}
-	plan, err := planPartitions(t, groups)
-	if err != nil {
-		return Decision{}, err
-	}
-	if err := applyPlan(t, plan); err != nil {
-		return Decision{}, err
-	}
-	dec.Plan = &plan
-	return dec, nil
+func (p PrefCP2) Epoch(t Target, cfg Config, exec []pmu.Sample) (Decision, error) {
+	return pipeline{split: true, layout: layoutGroups}.epoch(t, cfg, exec, nil, p.Name())
 }
