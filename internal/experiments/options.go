@@ -147,14 +147,14 @@ func newProgress(o Options, total int) *progressCounter {
 	return &progressCounter{total: total, fn: o.Progress}
 }
 
-// tick records one completed run and reports it.
+// tick records one completed run and reports it. The callback runs under
+// the lock, so concurrent workers report done in increasing order.
 func (p *progressCounter) tick() {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
-	done, total := p.done, p.total
-	p.mu.Unlock()
-	p.fn(done, total)
+	p.fn(p.done, p.total)
 }
