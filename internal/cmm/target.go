@@ -91,11 +91,6 @@ func (t *SimTarget) NumNodes() int { return t.Sys.NumNodes() }
 // NodeOf implements TopologyTarget.
 func (t *SimTarget) NodeOf(core int) int { return t.Sys.NodeOf(core) }
 
-// snapshots captures all cores' PMU state.
-func snapshots(t Target) []pmu.Snapshot {
-	return snapshotsInto(nil, t)
-}
-
 // snapshotsInto captures all cores' PMU state into buf, reusing its
 // storage when it has capacity.
 func snapshotsInto(buf []pmu.Snapshot, t Target) []pmu.Snapshot {
@@ -108,11 +103,6 @@ func snapshotsInto(buf []pmu.Snapshot, t Target) []pmu.Snapshot {
 		buf[i] = t.ReadPMU(i)
 	}
 	return buf
-}
-
-// deltas returns the per-core samples since the given snapshots.
-func deltas(t Target, since []pmu.Snapshot) []pmu.Sample {
-	return deltasInto(nil, t, since)
 }
 
 // deltasInto computes the per-core samples since the given snapshots into
@@ -132,9 +122,9 @@ func deltasInto(buf []pmu.Sample, t Target, since []pmu.Snapshot) []pmu.Sample {
 // sampleInterval runs the machine for the given cycles and returns what
 // each core did during the window.
 func sampleInterval(t Target, cycles uint64) []pmu.Sample {
-	before := snapshots(t)
+	before := snapshotsInto(nil, t)
 	t.RunCycles(cycles)
-	return deltas(t, before)
+	return deltasInto(nil, t, before)
 }
 
 // ipcsOf extracts per-core IPCs from samples.
