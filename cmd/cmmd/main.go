@@ -13,8 +13,7 @@
 //	cmmd -policy PT -mix "Pref Unfri" -index 2 -epochs 10
 //	cmmd -policy CMM-a -mix "Pref Unfri" -epochs 500 -listen :8080
 //	    # plain-text counters at /metrics, expvar JSON at /debug/vars;
-//	    # add -pprof for /debug/pprof/, and -store with -store-max-bytes /
-//	    # -store-max-age to report and bound a run-store directory
+//	    # add -pprof for /debug/pprof/
 //	cmmd -policy CMM-a -mix "Pref Fri" -telemetry epochs.jsonl
 //	    # one structured JSONL event per epoch
 package main
@@ -34,7 +33,6 @@ import (
 
 	"cmm"
 	icmm "cmm/internal/cmm"
-	"cmm/internal/runstore"
 	"cmm/internal/server"
 	"cmm/internal/telemetry"
 )
@@ -57,12 +55,7 @@ func main() {
 		ghz        = flag.Float64("ghz", 2.1, "core clock in GHz for -hw")
 		listen     = flag.String("listen", "", "serve plain-text /metrics and expvar /debug/vars on this address (e.g. :8080) while the daemon runs")
 		teleOut    = flag.String("telemetry", "", "append per-epoch telemetry events as JSONL to this file")
-		storeDir   = flag.String("store", "", "run-store directory to report disk-usage gauges for on /metrics")
-
-		storeMaxBytes = flag.Int64("store-max-bytes", 0, "evict least-recently-used store entries past this disk size (0 = unlimited)")
-		storeMaxAge   = flag.Duration("store-max-age", 0, "evict store entries unused for longer than this (0 = unlimited)")
-		sweepEvery    = flag.Duration("sweep", 10*time.Minute, "how often to enforce the store limits")
-		pprofOn       = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")
+		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")
 	)
 	flag.Parse()
 
@@ -87,19 +80,7 @@ func main() {
 	}
 	sink := telemetry.Multi(sinks...)
 	if *listen != "" {
-		var store *runstore.Store
-		if *storeDir != "" {
-			var err error
-			store, err = runstore.Open(*storeDir,
-				runstore.WithMaxBytes(*storeMaxBytes), runstore.WithMaxAge(*storeMaxAge))
-			if err != nil {
-				fatal(err)
-			}
-			runstore.StartSweeper(ctx, store, *sweepEvery, 0.1, func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "cmmd: "+format+"\n", args...)
-			})
-		}
-		wait := serveMetrics(ctx, *listen, store, *pprofOn)
+		wait := serveMetrics(ctx, *listen, *pprofOn)
 		defer func() { stop(); wait() }()
 	}
 
@@ -217,23 +198,15 @@ func runHardware(policy string, cores int, ghz float64, epochs int, sink telemet
 
 // serveMetrics exposes the daemon's aggregate counters over HTTP: a
 // plain-text /metrics endpoint (one "cmm_<name> <value>" line per
-// counter, plus run-store disk gauges when a store is given) and the
-// standard expvar JSON at /debug/vars. The listener carries the shared
-// production timeouts and drains gracefully when ctx is cancelled; the
-// returned wait blocks until it is down.
-func serveMetrics(ctx context.Context, addr string, store *runstore.Store, pprofOn bool) (wait func()) {
+// counter) and the standard expvar JSON at /debug/vars. The listener
+// carries the shared production timeouts and drains gracefully when ctx
+// is cancelled; the returned wait blocks until it is down.
+func serveMetrics(ctx context.Context, addr string, pprofOn bool) (wait func()) {
 	counters.PublishExpvar("cmm_")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		counters.WriteMetrics(w, "cmm_")
-		if store != nil {
-			if entries, bytes, err := store.DiskUsage(); err == nil {
-				fmt.Fprintf(w, "cmm_store_disk_entries %d\n", entries)
-				fmt.Fprintf(w, "cmm_store_disk_bytes %d\n", bytes)
-			}
-			fmt.Fprintf(w, "cmm_store_evictions_total %d\n", store.Stats().Evictions)
-		}
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	if pprofOn {

@@ -33,6 +33,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -43,6 +44,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -50,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cmm/internal/jobstore"
 	"cmm/internal/runstore"
 	"cmm/internal/server"
 	"cmm/internal/telemetry"
@@ -369,8 +372,9 @@ func doProbe(client *http.Client, base string, req request) bool {
 }
 
 // startSelftest builds an in-process server over a seeded temporary run
-// store and serves it on a loopback listener. It returns the base URL,
-// the seeded hashes, and a stop function.
+// store (its jobstore beside it in the same temporary directory) and
+// serves it on a loopback listener. It returns the base URL, the seeded
+// hashes, and a stop function.
 func startSelftest(keys, bodyBytes int) (string, []string, func(), error) {
 	dir, err := os.MkdirTemp("", "cmmload-*")
 	if err != nil {
@@ -399,17 +403,23 @@ func startSelftest(keys, bodyBytes int) (string, []string, func(), error) {
 		hashes[i] = key
 	}
 
-	var counters telemetry.Counters
-	srv := server.New(server.Config{Store: store, Counters: &counters})
+	jobs, err := jobstore.Open(filepath.Join(dir, "jobs"))
+	if err != nil {
+		os.RemoveAll(dir)
+		return "", nil, nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		os.RemoveAll(dir)
 		return "", nil, nil, err
 	}
+	var counters telemetry.Counters
+	srv := server.New(server.Config{Store: store, Jobs: jobs, Counters: &counters})
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go httpSrv.Serve(ln)
 	stop := func() {
 		httpSrv.Close()
+		srv.Shutdown(context.Background())
 		os.RemoveAll(dir)
 	}
 	return "http://" + ln.Addr().String(), hashes, stop, nil

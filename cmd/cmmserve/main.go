@@ -23,20 +23,21 @@
 // /metrics reports cmm_store_evictions_total alongside the disk gauges.
 // -pprof mounts net/http/pprof at /debug/pprof/ for live profiling.
 //
-// With -store, jobs are also durable: records live in <store>/jobs and
-// several cmmserve processes pointed at the same -store form a
-// coordinator-free cluster. Workers claim jobs through atomic leases,
-// heartbeat while running, retry failures with exponential backoff up to
-// -max-attempts, and reap jobs from peers that died mid-run — so a
-// worker can be SIGKILLed and its jobs still finish elsewhere:
+// Jobs always live in a jobstore: <store>/jobs with -store, or a
+// temporary directory (removed after the drain) without it. Several
+// cmmserve processes pointed at the same -store form a coordinator-free
+// cluster. Workers claim jobs through atomic leases, heartbeat while
+// running, retry failures with exponential backoff up to -max-attempts,
+// and reap jobs from peers that died mid-run — so a worker can be
+// SIGKILLed and its jobs still finish elsewhere:
 //
 //	cmmserve -listen :8090 -store /var/lib/cmm/runs -worker-id a
 //	cmmserve -listen :8091 -store /var/lib/cmm/runs -worker-id b
 //
 // SIGINT/SIGTERM drain the service: /healthz flips to "draining", the
-// listener stops accepting, queued jobs are cancelled (memory mode) or
-// left for surviving workers (durable mode), and running jobs get -grace
-// to finish — after which they are requeued for the cluster.
+// listener stops accepting, queued jobs stay queued in the jobstore for
+// surviving workers, and running jobs get -grace to finish — after which
+// they are requeued for the cluster.
 package main
 
 import (
@@ -62,7 +63,7 @@ import (
 func main() {
 	var (
 		listen        = flag.String("listen", ":8090", "HTTP listen address")
-		storeDir      = flag.String("store", "", "content-addressed run store directory (empty: in-memory cache only)")
+		storeDir      = flag.String("store", "", "content-addressed run store directory; jobs live in <store>/jobs (empty: in-memory cache, jobs in a temporary directory)")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "evict least-recently-used store entries past this disk size (0 = unlimited)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "evict store entries unused for longer than this (0 = unlimited)")
 		sweepEvery    = flag.Duration("sweep", 10*time.Minute, "how often to enforce the store limits (jittered ±10% so workers sharing a store don't sweep in lockstep)")
@@ -95,23 +96,27 @@ func main() {
 		fatal(err)
 	}
 
-	// With a durable store, jobs live beside it: any cmmserve process
-	// pointed at the same -store forms a fault-tolerant cluster with this
-	// one, claiming jobs through atomic leases.
-	var jstore *jobstore.Store
-	if *storeDir != "" {
-		var jopts []jobstore.Option
-		if *workerID != "" {
-			jopts = append(jopts, jobstore.WithWorker(*workerID))
-		}
-		jopts = append(jopts, jobstore.WithTTL(*leaseTTL))
-		jstore, err = jobstore.Open(filepath.Join(*storeDir, "jobs"), jopts...)
-		if err != nil {
+	// Jobs live beside the run store: any cmmserve process pointed at the
+	// same -store forms a fault-tolerant cluster with this one, claiming
+	// jobs through atomic leases. Without -store they live in a private
+	// temporary directory that goes away after the drain.
+	jobsDir := filepath.Join(*storeDir, "jobs")
+	if *storeDir == "" {
+		if jobsDir, err = os.MkdirTemp("", "cmmserve-jobs-*"); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("cmmserve: durable jobs at %s (worker %s, lease ttl %s)\n",
-			jstore.Dir(), jstore.Worker(), *leaseTTL)
+		defer os.RemoveAll(jobsDir)
 	}
+	jopts := []jobstore.Option{jobstore.WithTTL(*leaseTTL)}
+	if *workerID != "" {
+		jopts = append(jopts, jobstore.WithWorker(*workerID))
+	}
+	jstore, err := jobstore.Open(jobsDir, jopts...)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("cmmserve: durable jobs at %s (worker %s, lease ttl %s)\n",
+		jstore.Dir(), jstore.Worker(), *leaseTTL)
 
 	// -model-dir turns on the CMM-L serving path: the registry's current
 	// model is loaded now (an empty registry is fine — jobs are rejected

@@ -730,21 +730,15 @@ func (s *Store) Leases() ([]LeaseInfo, error) {
 // base·2^(attempt-1) capped at the maximum, with ±20% jitter so a burst
 // of failures doesn't retry in lockstep.
 func (s *Store) Backoff(attempt int) time.Duration {
-	return BackoffDelay(s.backoffBase, s.backoffMax, attempt)
-}
-
-// BackoffDelay is the store's backoff schedule as a free function, for
-// callers (like the server's memory-only retry path) that have no store.
-func BackoffDelay(base, max time.Duration, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	d := s.backoffBase
+	for i := 1; i < attempt && d < s.backoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > s.backoffMax {
+		d = s.backoffMax
 	}
 	jitter := 0.8 + 0.4*mrand.Float64()
 	return time.Duration(float64(d) * jitter)

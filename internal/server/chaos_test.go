@@ -228,7 +228,7 @@ func TestChaosStoreFaultDegradesToCompute(t *testing.T) {
 	s, ts := tinyServer(t, Config{
 		Store:   store,
 		Workers: 1,
-		execute: nil, // set below; no scanner here to race
+		execute: nil, // set below; the empty jobstore gives the scanner nothing to race
 	})
 	s.execute = func(ctx context.Context, j *job) (any, error) {
 		for i := range 3 {
@@ -302,17 +302,16 @@ func TestChaosDurableMetricsExposeLeases(t *testing.T) {
 	}
 }
 
-// TestMemoryModeRetryBackoff pins the retry path without a durable
-// store: failures are retried locally with backoff and the job still
-// reaches done, with the attempt history reported.
-func TestMemoryModeRetryBackoff(t *testing.T) {
+// TestRetryBackoffReachesDone pins the retry path: failures are retried
+// after the jobstore's backoff and the job still reaches done, with the
+// attempt history reported.
+func TestRetryBackoffReachesDone(t *testing.T) {
 	var executions atomic.Int64
 	counters := &telemetry.Counters{}
 	_, ts := tinyServer(t, Config{
 		Workers:     1,
 		Counters:    counters,
 		MaxAttempts: 3,
-		RetryBase:   2 * time.Millisecond,
 		execute: func(ctx context.Context, j *job) (any, error) {
 			if n := executions.Add(1); n < 3 {
 				return nil, fmt.Errorf("transient failure #%d", n)
@@ -332,29 +331,25 @@ func TestMemoryModeRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestMemoryModeQuarantine: without a durable store, a poison job still
-// stops at MaxAttempts in state failed.
-func TestMemoryModeQuarantine(t *testing.T) {
+// TestUnrenderableResultFailsAttempt pins that a result the canonical
+// encoder rejects is a failed attempt, not a done job without bytes.
+func TestUnrenderableResultFailsAttempt(t *testing.T) {
 	var executions atomic.Int64
-	counters := &telemetry.Counters{}
 	_, ts := tinyServer(t, Config{
 		Workers:     1,
-		Counters:    counters,
 		MaxAttempts: 2,
-		RetryBase:   2 * time.Millisecond,
 		execute: func(ctx context.Context, j *job) (any, error) {
 			executions.Add(1)
-			return nil, errors.New("always fails")
+			return map[string]any{"ch": make(chan int)}, nil
 		},
 	})
 	st := postJob(t, ts, `{"preset":"tiny"}`)
-	awaitState(t, ts, st.ID, StateFailed)
-	time.Sleep(50 * time.Millisecond)
+	got := awaitState(t, ts, st.ID, StateFailed)
 	if n := executions.Load(); n != 2 {
-		t.Errorf("executed %d times, want exactly MaxAttempts (2)", n)
+		t.Errorf("executed %d times, want MaxAttempts (2)", n)
 	}
-	if n := counters.Snapshot()["jobs_quarantined_total"]; n != 1 {
-		t.Errorf("jobs_quarantined_total = %d, want 1", n)
+	if !strings.Contains(got.Error, "render result") {
+		t.Errorf("failed job error = %q, want the render failure", got.Error)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cmm/internal/learn"
-	"cmm/internal/runstore"
 )
 
 // retryAfterSeconds is the hint sent with 503 rejections: full queues
@@ -110,11 +109,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The 202 reports the job as admitted: a worker may claim it the
+	// moment it is queued, so the status is taken before it can.
+	st := j.status()
 	if err := s.enqueueJob(j, body); err != nil {
 		httpUnavailable(w, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // readBody slurps a bounded request body (the durable store persists the
@@ -140,15 +142,15 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
-// jobFor resolves the {id} path component, writing 404 on a miss. With a
-// durable store it also adopts records created by other workers, so any
-// cluster member can answer for any job.
+// jobFor resolves the {id} path component, writing 404 on a miss. It also
+// adopts records created by other workers, so any cluster member can
+// answer for any job.
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
-	if j == nil && s.cfg.Jobs != nil {
+	if j == nil {
 		listed := s.transitions.Add(1)
 		if rec, err := s.cfg.Jobs.Get(id); err == nil {
 			if nj, err := s.buildJobFromRecord(rec); err == nil {
@@ -176,15 +178,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Refresh the mirror for jobs another worker is driving.
-	if s.cfg.Jobs != nil {
-		j.mu.Lock()
-		local := j.localRun
-		j.mu.Unlock()
-		if !local {
-			listed := s.transitions.Add(1)
-			if rec, err := s.cfg.Jobs.Get(j.id); err == nil {
-				syncFromRecord(j, rec, listed)
-			}
+	j.mu.Lock()
+	local := j.localRun
+	j.mu.Unlock()
+	if !local {
+		listed := s.transitions.Add(1)
+		if rec, err := s.cfg.Jobs.Get(j.id); err == nil {
+			syncFromRecord(j, rec, listed)
 		}
 	}
 	writeJSON(w, http.StatusOK, j.status())
@@ -196,12 +196,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state, result, raw := j.state, j.result, j.resultRaw
+	state, raw := j.state, j.resultRaw
 	j.mu.Unlock()
 
-	// A job finished by another worker has no in-memory result; fetch the
-	// durable bytes (and re-check state, which may have advanced).
-	if s.cfg.Jobs != nil && result == nil && raw == nil {
+	// A job finished by another worker has no result bytes in memory;
+	// fetch the durable bytes (and re-check state, which may have
+	// advanced).
+	if raw == nil {
 		if b, err := s.cfg.Jobs.Result(j.id); err == nil {
 			raw = b
 			state = StateDone
@@ -215,27 +216,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s is %s, result requires done", j.id, state)
 		return
 	}
-	// Render once in canonical form so this endpoint and the read path
-	// (GET /v1/results/{hash}) serve byte-identical payloads.
-	if raw == nil && result != nil {
-		if b, err := runstore.Canonical(result); err == nil {
-			raw = b
-			j.mu.Lock()
-			j.resultRaw = b
-			j.mu.Unlock()
-		}
-	}
-	if raw != nil {
-		s.serveResultBytes(w, r, j.resultKey, raw)
+	if raw == nil {
+		httpError(w, http.StatusInternalServerError, "job %s has no result payload", j.id)
 		return
 	}
-	// Unmarshalable result (never produced by the engine's wire structs):
-	// fall back to a plain render without caching headers.
-	if result != nil {
-		writeJSON(w, http.StatusOK, result)
-		return
-	}
-	httpError(w, http.StatusInternalServerError, "job %s has no result payload", j.id)
+	// The bytes are the canonical rendering the read path also serves, so
+	// both endpoints answer byte-identical payloads.
+	s.serveResultBytes(w, r, j.resultKey, raw)
 }
 
 // writeComparisonCSV flattens a comparison to one row per (policy, mix).
@@ -270,11 +257,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// Drop it from the local heap right away so it stops occupying
 		// queue capacity and can never be popped.
 		s.queue.remove(j)
-		if s.cfg.Jobs != nil {
-			// Best-effort: if another worker claimed it in this window the
-			// durable cancel is refused and that worker's run proceeds.
-			s.cfg.Jobs.Cancel(j.id, "cancelled by client")
-		}
+		// Best-effort: if another worker claimed it in this window the
+		// durable cancel is refused and that worker's run proceeds.
+		s.cfg.Jobs.Cancel(j.id, "cancelled by client")
 		j.mu.Lock()
 		if j.state == StateQueued { // still ours to cancel
 			j.state = StateCanceled
@@ -289,9 +274,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// durable cancel request below is the only lever: the owner's next
 		// heartbeat observes the flag, aborts, and writes the terminal
 		// canceled state under its lease.
-		if s.cfg.Jobs != nil {
-			s.cfg.Jobs.RequestCancel(j.id, "cancelled by client")
-		}
+		s.cfg.Jobs.RequestCancel(j.id, "cancelled by client")
 		if cancel != nil {
 			cancel()
 		}
@@ -342,27 +325,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "cmm_jobs{state=%q} %d\n", st, states[st])
 	}
 	fmt.Fprintf(w, "cmm_queue_depth %d\n", s.queue.depth())
-	if s.reads != nil {
-		fmt.Fprintf(w, "cmm_readcache_entries %d\n", s.reads.len())
-		fmt.Fprintf(w, "cmm_readcache_hits_total %d\n", s.reads.hits.Load())
-		fmt.Fprintf(w, "cmm_readcache_misses_total %d\n", s.reads.misses.Load())
-		fmt.Fprintf(w, "cmm_readcache_evictions_total %d\n", s.reads.evictions.Load())
+	fmt.Fprintf(w, "cmm_readcache_entries %d\n", s.reads.len())
+	fmt.Fprintf(w, "cmm_readcache_hits_total %d\n", s.reads.hits.Load())
+	fmt.Fprintf(w, "cmm_readcache_misses_total %d\n", s.reads.misses.Load())
+	fmt.Fprintf(w, "cmm_readcache_evictions_total %d\n", s.reads.evictions.Load())
+	if entries, bytes, err := s.cfg.Store.DiskUsage(); err == nil {
+		fmt.Fprintf(w, "cmm_store_disk_entries %d\n", entries)
+		fmt.Fprintf(w, "cmm_store_disk_bytes %d\n", bytes)
 	}
-	if s.cfg.Store != nil {
-		if entries, bytes, err := s.cfg.Store.DiskUsage(); err == nil {
-			fmt.Fprintf(w, "cmm_store_disk_entries %d\n", entries)
-			fmt.Fprintf(w, "cmm_store_disk_bytes %d\n", bytes)
-		}
-		st := s.cfg.Store.Stats()
-		fmt.Fprintf(w, "cmm_store_evictions_total %d\n", st.Evictions)
-		open := 0
-		if st.BreakerOpen {
-			open = 1
-		}
-		fmt.Fprintf(w, "cmm_store_breaker_open %d\n", open)
-		fmt.Fprintf(w, "cmm_store_breaker_trips_total %d\n", st.BreakerTrips)
-		fmt.Fprintf(w, "cmm_store_breaker_skipped_total %d\n", st.BreakerSkipped)
+	st := s.cfg.Store.Stats()
+	fmt.Fprintf(w, "cmm_store_evictions_total %d\n", st.Evictions)
+	open := 0
+	if st.BreakerOpen {
+		open = 1
 	}
+	fmt.Fprintf(w, "cmm_store_breaker_open %d\n", open)
+	fmt.Fprintf(w, "cmm_store_breaker_trips_total %d\n", st.BreakerTrips)
+	fmt.Fprintf(w, "cmm_store_breaker_skipped_total %d\n", st.BreakerSkipped)
 	if s.cfg.Models != nil {
 		st := s.cfg.Models.Status()
 		loaded := 0
@@ -381,17 +360,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(w, "cmm_learn_demoted %d\n", demoted)
 		}
 	}
-	if s.cfg.Jobs != nil {
-		if leases, err := s.cfg.Jobs.Leases(); err == nil {
-			var oldest float64
-			now := s.cfg.Jobs.Now()
-			for _, l := range leases {
-				if age := now.Sub(l.Granted).Seconds(); age > oldest {
-					oldest = age
-				}
+	if leases, err := s.cfg.Jobs.Leases(); err == nil {
+		var oldest float64
+		now := s.cfg.Jobs.Now()
+		for _, l := range leases {
+			if age := now.Sub(l.Granted).Seconds(); age > oldest {
+				oldest = age
 			}
-			fmt.Fprintf(w, "cmm_leases_active %d\n", len(leases))
-			fmt.Fprintf(w, "cmm_lease_age_seconds_max %g\n", oldest)
 		}
+		fmt.Fprintf(w, "cmm_leases_active %d\n", len(leases))
+		fmt.Fprintf(w, "cmm_lease_age_seconds_max %g\n", oldest)
 	}
 }

@@ -173,10 +173,6 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "malformed result hash %q (want 64 hex digits)", r.PathValue("hash"))
 		return
 	}
-	if s.cfg.Store == nil {
-		httpUnavailable(w, "no run store configured; results are not memoized")
-		return
-	}
 	wait, err := resultWait(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -223,10 +219,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "parse request: %v", err)
-		return
-	}
-	if s.cfg.Store == nil {
-		httpUnavailable(w, "no run store configured; results are not memoized")
 		return
 	}
 	wait, err := resultWait(r)

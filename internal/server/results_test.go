@@ -267,15 +267,6 @@ func TestGetResultValidation(t *testing.T) {
 	if code, _, _ := getRaw(t, ts.URL+"/v1/results/"+strings.ToUpper(strings.Repeat("ab", 32)), nil); code != http.StatusNotFound {
 		t.Errorf("uppercase hash: want 404 after normalization")
 	}
-
-	// Without a run store the whole read path is 503.
-	_, noStore := tinyServer(t, Config{})
-	if code, _, _ := getRaw(t, noStore.URL+"/v1/results/"+strings.Repeat("ab", 32), nil); code != http.StatusServiceUnavailable {
-		t.Errorf("no-store GET: want 503")
-	}
-	if code, _, _ := postLookup(t, noStore, "", `{"preset":"tiny"}`); code != http.StatusServiceUnavailable {
-		t.Errorf("no-store lookup: want 503")
-	}
 }
 
 // TestLookupWaitDeadline pins the blocking contract: a lookup whose wait

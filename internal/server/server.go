@@ -22,13 +22,13 @@ import (
 
 // Config sizes the job service.
 type Config struct {
-	// Store memoizes run results across jobs (nil disables caching).
+	// Store memoizes run results across jobs and backs the read path
+	// (required; runstore.Open("") keeps it in memory).
 	Store *runstore.Store
-	// Jobs is the durable, lease-based job layer (nil keeps the job list
-	// in memory only). When several server processes share one jobs
-	// directory they form a cluster: any worker claims queued jobs via
-	// atomic leases, heartbeats while running, and reaps jobs whose
-	// owners died.
+	// Jobs is the durable, lease-based job layer (required). When several
+	// server processes share one jobs directory they form a cluster: any
+	// worker claims queued jobs via atomic leases, heartbeats while
+	// running, and reaps jobs whose owners died.
 	Jobs *jobstore.Store
 	// Workers is how many jobs execute concurrently (default 1). Each job
 	// additionally fans its simulation runs across its own Options.Workers.
@@ -57,16 +57,11 @@ type Config struct {
 	MaxAttempts int
 	// AttemptTimeout bounds each individual execution attempt, layered
 	// under the job's overall timeout: an attempt that exceeds it counts
-	// as a failed attempt (retried with backoff), while the job timeout
-	// still cancels the job outright. Zero disables it.
+	// as a failed attempt (retried after the jobstore's backoff), while
+	// the job timeout still cancels the job outright. Zero disables it.
 	AttemptTimeout time.Duration
-	// RetryBase is the first retry's backoff delay in memory-only mode;
-	// it doubles per attempt with jitter (default 1s). Durable stores
-	// carry their own backoff settings (jobstore.WithBackoff).
-	RetryBase time.Duration
 	// ScanInterval is how often the durable-job scanner looks for
 	// requeued work and expired leases (default TTL/3, floor 50ms).
-	// Ignored without Jobs.
 	ScanInterval time.Duration
 	// ReadCacheEntries sizes the read path's in-memory byte-cache front
 	// (entries, not bytes; default DefaultReadCacheEntries). The cache
@@ -81,7 +76,15 @@ type Config struct {
 	execute func(ctx context.Context, j *job) (any, error)
 }
 
+// withDefaults fills the unset optional fields; it panics when a
+// required one is missing.
 func (c Config) withDefaults() Config {
+	switch {
+	case c.Store == nil:
+		panic(`server: Config.Store is nil (runstore.Open("") gives a memory-only store)`)
+	case c.Jobs == nil:
+		panic("server: Config.Jobs is nil (open a jobstore with jobstore.Open)")
+	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -100,13 +103,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = time.Second
-	}
-	if c.Jobs != nil && c.ScanInterval <= 0 {
+	if c.ScanInterval <= 0 {
 		c.ScanInterval = c.Jobs.TTL() / 3
 	}
-	if c.Jobs != nil && c.ScanInterval < 50*time.Millisecond {
+	if c.ScanInterval < 50*time.Millisecond {
 		c.ScanInterval = 50 * time.Millisecond
 	}
 	return c
@@ -153,8 +153,7 @@ type job struct {
 	cancelReason string
 	worker       string // last worker seen running it (cluster mirror)
 	cancel       context.CancelFunc
-	result       any
-	resultRaw    []byte // terminal result fetched from the durable store
+	resultRaw    []byte // canonical result bytes, as written to the durable store
 	created      time.Time
 	started      time.Time
 	finished     time.Time
@@ -180,8 +179,7 @@ type Server struct {
 	// and lazily replaced when a stale one is found.
 	lookups map[string]*job
 
-	// reads is the serving tier's byte-cache front (nil only when the
-	// server has no run store to serve from).
+	// reads is the serving tier's byte-cache front over cfg.Store.
 	reads *readCache
 
 	baseCtx    context.Context
@@ -207,9 +205,9 @@ type Server struct {
 	execute func(ctx context.Context, j *job) (any, error)
 }
 
-// New builds a Server and starts its worker pool (and, with a durable
-// job store, the scanner that adopts requeued work and reaps expired
-// leases).
+// New builds a Server and starts its worker pool and the scanner that
+// adopts requeued work and reaps expired leases. It panics when cfg lacks
+// its Store or Jobs.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -217,11 +215,9 @@ func New(cfg Config) *Server {
 		queue:    newJobQueue(cfg.QueueDepth),
 		jobs:     map[string]*job{},
 		lookups:  map[string]*job{},
+		reads:    newReadCache(cfg.ReadCacheEntries),
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
-	}
-	if cfg.Store != nil {
-		s.reads = newReadCache(cfg.ReadCacheEntries)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.execute = s.executeJob
@@ -241,11 +237,7 @@ func New(cfg Config) *Server {
 			}
 		}()
 	}
-	if cfg.Jobs != nil {
-		go s.scanLoop()
-	} else {
-		close(s.scanDone)
-	}
+	go s.scanLoop()
 	return s
 }
 
@@ -273,11 +265,12 @@ func (s *Server) Draining() bool {
 }
 
 // Shutdown drains the service: admission stops immediately, queued jobs
-// are cancelled (memory mode) or left in the durable store for surviving
-// workers, and running jobs get until ctx expires to finish before their
-// contexts are cancelled — in durable mode a forced cancellation
-// requeues the job so another worker can finish it. It returns ctx.Err()
-// when the deadline forced cancellation, nil on a clean drain.
+// stay queued in the jobstore for surviving workers (or a restarted
+// server on the same jobs directory), and running jobs get until ctx
+// expires to finish before their contexts are cancelled — a forced
+// cancellation requeues the job so another worker can finish it. It
+// returns ctx.Err() when the deadline forced cancellation, nil on a clean
+// drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 	s.stopScanner()
@@ -285,16 +278,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		j.mu.Lock()
 		j.inQueue = false
 		if j.state == StateQueued {
-			if s.cfg.Jobs != nil {
-				// The durable record stays queued; surviving workers in
-				// the cluster will claim it. Only the local mirror notes
-				// why this process dropped it.
-				j.err = "server shutting down; job remains queued for other workers"
-			} else {
-				j.state = StateCanceled
-				j.err = "server shutting down"
-				j.finished = time.Now()
-			}
+			// The durable record stays queued; only the local mirror notes
+			// why this process dropped it.
+			j.err = "server shutting down; job remains queued for other workers"
 		}
 		j.mu.Unlock()
 	}
@@ -508,15 +494,13 @@ func (s *Server) buildJob(req jobRequest) (*job, error) {
 }
 
 // enqueueJob registers a built job and pushes it onto the queue,
-// durable-first when a job store is configured (so any cluster worker can
-// run it even if this process dies immediately). rawReq is the original
-// request body the durable record persists. On failure the job is fully
-// unregistered and the error maps to a 503.
+// durable-first (so any cluster worker can run it even if this process
+// dies immediately). rawReq is the original request body the durable
+// record persists. On failure the job is fully unregistered and the error
+// maps to a 503.
 func (s *Server) enqueueJob(j *job, rawReq []byte) error {
-	if s.cfg.Jobs != nil {
-		if _, err := s.cfg.Jobs.Enqueue(j.id, rawReq, s.cfg.MaxAttempts); err != nil {
-			return fmt.Errorf("persist job: %w", err)
-		}
+	if _, err := s.cfg.Jobs.Enqueue(j.id, rawReq, s.cfg.MaxAttempts); err != nil {
+		return fmt.Errorf("persist job: %w", err)
 	}
 	s.mu.Lock()
 	s.jobs[j.id] = j
@@ -528,9 +512,7 @@ func (s *Server) enqueueJob(j *job, rawReq []byte) error {
 		s.mu.Lock()
 		delete(s.jobs, j.id)
 		s.mu.Unlock()
-		if s.cfg.Jobs != nil {
-			s.cfg.Jobs.Delete(j.id)
-		}
+		s.cfg.Jobs.Delete(j.id)
 		return err
 	}
 	return nil
@@ -686,9 +668,9 @@ func (s *Server) maybeEnqueueLocal(j *job, rec *jobstore.Record, now time.Time) 
 	}
 }
 
-// run executes one popped job through its full lifecycle: claim (durable
-// mode), heartbeat, per-attempt timeout, execution, and the terminal or
-// retry transition.
+// run executes one popped job through its full lifecycle: claim,
+// heartbeat, per-attempt timeout, execution, and the terminal or retry
+// transition.
 func (s *Server) run(j *job) {
 	j.mu.Lock()
 	j.inQueue = false
@@ -698,30 +680,25 @@ func (s *Server) run(j *job) {
 	}
 	j.mu.Unlock()
 
-	// Durable mode: the local heap is only a hint — the lease is the
-	// cluster-wide mutual exclusion.
-	var lease *jobstore.Lease
-	var rec *jobstore.Record
-	if s.cfg.Jobs != nil {
-		var err error
-		lease, err = s.cfg.Jobs.Claim(j.id)
-		if err != nil {
-			// Held by another worker, canceled, or backoff-gated: the
-			// scanner keeps the mirror fresh and re-enqueues when due.
-			return
+	// The local heap is only a hint — the lease is the cluster-wide
+	// mutual exclusion.
+	lease, err := s.cfg.Jobs.Claim(j.id)
+	if err != nil {
+		// Held by another worker, canceled, or backoff-gated: the scanner
+		// keeps the mirror fresh and re-enqueues when due.
+		return
+	}
+	listed := s.transitions.Add(1)
+	rec, err := s.cfg.Jobs.Get(j.id)
+	if err != nil || (rec.State != jobstore.StateQueued && rec.State != jobstore.StateRunning) {
+		if err == nil {
+			syncFromRecord(j, rec, listed)
 		}
-		listed := s.transitions.Add(1)
-		rec, err = s.cfg.Jobs.Get(j.id)
-		if err != nil || (rec.State != jobstore.StateQueued && rec.State != jobstore.StateRunning) {
-			if err == nil {
-				syncFromRecord(j, rec, listed)
-			}
-			lease.Release()
-			return
-		}
-		if err := s.cfg.Jobs.MarkRunning(lease, rec); err != nil {
-			return
-		}
+		lease.Release()
+		return
+	}
+	if err := s.cfg.Jobs.MarkRunning(lease, rec); err != nil {
+		return
 	}
 
 	j.mu.Lock()
@@ -733,12 +710,8 @@ func (s *Server) run(j *job) {
 	j.localRun = true
 	j.leaseLost = false
 	j.cancelReason = ""
-	if rec != nil {
-		j.attempt = rec.Attempt
-		j.worker = s.cfg.Jobs.Worker()
-	} else {
-		j.attempt++
-	}
+	j.attempt = rec.Attempt
+	j.worker = s.cfg.Jobs.Worker()
 	j.started = time.Now()
 	j.cancel = jobCancel
 	j.mu.Unlock()
@@ -747,46 +720,42 @@ func (s *Server) run(j *job) {
 	// Heartbeat: renew the lease at TTL/3 so the job survives long
 	// executions; a failed renewal means we lost the job to a reaper —
 	// cancel the attempt and write nothing durable (fencing).
-	hbStop := make(chan struct{})
-	var hbDone chan struct{}
-	if lease != nil {
-		hbDone = make(chan struct{})
-		interval := s.cfg.Jobs.TTL() / 3
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		go func() {
-			defer close(hbDone)
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
+	hbStop, hbDone := make(chan struct{}), make(chan struct{})
+	interval := s.cfg.Jobs.TTL() / 3
+	if interval < 10*time.Millisecond {
+		interval = 10 * time.Millisecond
+	}
+	go func() {
+		defer close(hbDone)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-hbStop:
+				return
+			case <-t.C:
+				if s.dead.Load() {
 					return
-				case <-t.C:
-					if s.dead.Load() {
-						return
-					}
-					if err := lease.Renew(); err != nil {
-						j.mu.Lock()
-						j.leaseLost = true
-						j.mu.Unlock()
-						jobCancel()
-						return
-					}
-					// Cross-node cancel: a client's DELETE on any worker
-					// leaves a durable flag only the leaseholder can honor.
-					if reason, ok := s.cfg.Jobs.CancelRequested(j.id); ok {
-						j.mu.Lock()
-						j.cancelReason = reason
-						j.mu.Unlock()
-						jobCancel()
-						return
-					}
+				}
+				if err := lease.Renew(); err != nil {
+					j.mu.Lock()
+					j.leaseLost = true
+					j.mu.Unlock()
+					jobCancel()
+					return
+				}
+				// Cross-node cancel: a client's DELETE on any worker leaves
+				// a durable flag only the leaseholder can honor.
+				if reason, ok := s.cfg.Jobs.CancelRequested(j.id); ok {
+					j.mu.Lock()
+					j.cancelReason = reason
+					j.mu.Unlock()
+					jobCancel()
+					return
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	// Per-attempt timeout, layered under the job timeout: its expiry is a
 	// failed attempt (retryable), not a job cancellation.
@@ -795,19 +764,26 @@ func (s *Server) run(j *job) {
 		attemptCtx, attemptCancel = context.WithTimeout(jobCtx, s.cfg.AttemptTimeout)
 	}
 
-	result, err := func() (result any, err error) {
+	// The result is rendered once in canonical JSON here, so a result that
+	// cannot be rendered is a failed attempt like any other error.
+	raw, err := func() (raw []byte, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("job panicked: %v", r)
 			}
 		}()
-		return s.execute(attemptCtx, j)
+		result, err := s.execute(attemptCtx, j)
+		if err != nil {
+			return nil, err
+		}
+		if raw, err = runstore.Canonical(result); err != nil {
+			return nil, fmt.Errorf("render result: %w", err)
+		}
+		return raw, nil
 	}()
 	attemptCancel()
 	close(hbStop)
-	if hbDone != nil {
-		<-hbDone
-	}
+	<-hbDone
 
 	if s.dead.Load() {
 		// Chaos-test SIGKILL: the process is "gone" — no durable writes,
@@ -832,7 +808,7 @@ func (s *Server) run(j *job) {
 		j.mu.Unlock()
 
 	case err == nil:
-		s.finishDone(j, lease, rec, result)
+		s.finishDone(j, lease, rec, raw)
 
 	case jobCtx.Err() != nil:
 		s.finishCanceled(j, lease, rec, err)
@@ -845,54 +821,39 @@ func (s *Server) run(j *job) {
 }
 
 // finishDone writes the job's successful terminal state, durably first.
-// The result is rendered once in canonical JSON and those exact bytes are
-// (a) written to the durable job record, (b) published to the run store
-// and readcache under the job's content-address, and (c) kept as the
-// job's raw result — so the job endpoint and the read path serve
-// byte-identical payloads.
-func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record, result any) {
-	raw, rawErr := runstore.Canonical(result)
-	if rawErr != nil {
-		raw = nil // unmarshalable result; serve the in-memory value only
+// The canonical result bytes are (a) written to the durable job record,
+// (b) published to the run store and readcache under the job's
+// content-address, and (c) kept as the job's raw result — so the job
+// endpoint and the read path serve byte-identical payloads.
+func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record, raw []byte) {
+	if err := s.cfg.Jobs.Complete(lease, rec, raw); errors.Is(err, jobstore.ErrLeaseLost) {
+		j.mu.Lock()
+		s.endRunLocked(j)
+		j.state = StateQueued
+		j.err = "lease lost at completion; job taken over by another worker"
+		j.mu.Unlock()
+		return
 	}
-	if lease != nil {
-		err := rawErr
-		if err == nil {
-			err = s.cfg.Jobs.Complete(lease, rec, raw)
-		}
-		if errors.Is(err, jobstore.ErrLeaseLost) {
-			j.mu.Lock()
-			s.endRunLocked(j)
-			j.state = StateQueued
-			j.err = "lease lost at completion; job taken over by another worker"
-			j.mu.Unlock()
-			return
-		}
-		// Any other durable-write failure degrades to memory-only state:
-		// the computed result is still served from this process.
-	}
-	if raw != nil && j.resultKey != "" && s.cfg.Store != nil {
-		// Publish on the read path. A failed store write (full disk, open
-		// breaker) is absorbed: the readcache still serves this process.
-		s.cfg.Store.Put(j.resultKey, raw)
-		s.reads.put(j.resultKey, raw)
-	}
+	// Any other durable-write failure is absorbed: the computed result is
+	// still served from this process. So is a failed store write (full
+	// disk, open breaker): the readcache still serves it.
+	s.cfg.Store.Put(j.resultKey, raw)
+	s.reads.put(j.resultKey, raw)
 	j.mu.Lock()
 	j.finished = time.Now()
 	s.endRunLocked(j)
 	j.state = StateDone
 	j.err = ""
-	j.result = result
 	j.resultRaw = raw
 	j.mu.Unlock()
 	s.clearLookup(j)
 }
 
 // finishCanceled handles a job whose context ended: client cancellation,
-// the job-level timeout, or a forced shutdown. In durable mode a forced
-// shutdown requeues the job so surviving workers finish it instead.
+// the job-level timeout, or a forced shutdown. A forced shutdown requeues
+// the job so surviving workers finish it instead.
 func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Record, err error) {
-	if lease != nil && s.baseCtx.Err() != nil {
+	if s.baseCtx.Err() != nil {
 		// Forced drain: hand the in-flight job back to the cluster.
 		s.cfg.Jobs.Requeue(lease, rec)
 		j.mu.Lock()
@@ -910,9 +871,7 @@ func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Rec
 		reason = j.cancelReason
 	}
 	j.mu.Unlock()
-	if lease != nil {
-		s.cfg.Jobs.CancelUnderLease(lease, rec, reason)
-	}
+	s.cfg.Jobs.CancelUnderLease(lease, rec, reason)
 	j.mu.Lock()
 	j.finished = time.Now()
 	s.endRunLocked(j)
@@ -939,55 +898,26 @@ func (s *Server) clearLookup(j *job) {
 // below MaxAttempts, quarantine at the limit.
 func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstore.Record, execErr error) {
 	j.mu.Lock()
-	attempt := j.attempt
-	worker := j.worker
-	if worker == "" {
-		worker = "local"
-	}
-	j.history = append(j.history, fmt.Sprintf("attempt %d (worker %s): %s", attempt, worker, execErr.Error()))
+	j.history = append(j.history, fmt.Sprintf("attempt %d (worker %s): %s", j.attempt, j.worker, execErr.Error()))
 	j.mu.Unlock()
 
-	if lease != nil {
-		retried, err := s.cfg.Jobs.Fail(lease, rec, execErr.Error())
-		if errors.Is(err, jobstore.ErrLeaseLost) {
-			j.mu.Lock()
-			s.endRunLocked(j)
-			j.state = StateQueued
-			j.mu.Unlock()
-			return
-		}
-		if retried {
-			s.cfg.Counters.JobRetried()
-			j.mu.Lock()
-			s.endRunLocked(j)
-			j.state = StateQueued
-			j.err = execErr.Error()
-			j.mu.Unlock()
-			// The scanner (ours or any peer's) re-enqueues once NotBefore
-			// passes.
-			return
-		}
-		s.cfg.Counters.JobQuarantined()
+	retried, err := s.cfg.Jobs.Fail(lease, rec, execErr.Error())
+	if errors.Is(err, jobstore.ErrLeaseLost) {
 		j.mu.Lock()
-		j.finished = time.Now()
 		s.endRunLocked(j)
-		j.state = StateFailed
-		j.err = execErr.Error()
+		j.state = StateQueued
 		j.mu.Unlock()
-		s.clearLookup(j)
 		return
 	}
-
-	// Memory-only retries: reschedule locally with exponential backoff.
-	if attempt < s.cfg.MaxAttempts {
+	if retried {
 		s.cfg.Counters.JobRetried()
-		delay := jobstore.BackoffDelay(s.cfg.RetryBase, 64*s.cfg.RetryBase, attempt)
 		j.mu.Lock()
 		s.endRunLocked(j)
 		j.state = StateQueued
 		j.err = execErr.Error()
 		j.mu.Unlock()
-		time.AfterFunc(delay, func() { s.repush(j) })
+		// The scanner (ours or any peer's) re-enqueues once NotBefore
+		// passes.
 		return
 	}
 	s.cfg.Counters.JobQuarantined()
@@ -998,28 +928,6 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 	j.err = execErr.Error()
 	j.mu.Unlock()
 	s.clearLookup(j)
-}
-
-// repush returns a backoff-delayed job to the local heap if it is still
-// wanted (not cancelled meanwhile, server not draining).
-func (s *Server) repush(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued || j.inQueue || j.localRun {
-		j.mu.Unlock()
-		return
-	}
-	j.inQueue = true
-	j.mu.Unlock()
-	if err := s.queue.push(j); err != nil {
-		j.mu.Lock()
-		j.inQueue = false
-		if j.state == StateQueued {
-			j.state = StateCanceled
-			j.err = "server shutting down"
-			j.finished = time.Now()
-		}
-		j.mu.Unlock()
-	}
 }
 
 // executeJob dispatches on kind and shapes the engine's output into the

@@ -16,6 +16,7 @@ import (
 
 	"cmm/internal/cmm"
 	"cmm/internal/experiments"
+	"cmm/internal/jobstore"
 	"cmm/internal/runstore"
 )
 
@@ -33,10 +34,26 @@ func tinyPreset() experiments.Options {
 	return o
 }
 
+// tinyServer starts a server on the tiny preset behind an httptest
+// listener. A nil Store gets a memory-only run store; a nil Jobs gets a
+// private jobstore with millisecond retry backoff and a fast scanner.
 func tinyServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Presets == nil {
 		cfg.Presets = map[string]experiments.Options{"tiny": tinyPreset()}
+	}
+	if cfg.Store == nil {
+		store, err := runstore.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = store
+	}
+	if cfg.Jobs == nil {
+		cfg.Jobs = testJobstore(t, t.TempDir(), "w")
+		if cfg.ScanInterval == 0 {
+			cfg.ScanInterval = 20 * time.Millisecond
+		}
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -47,6 +64,17 @@ func tinyServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Shutdown(ctx)
 	})
 	return s, ts
+}
+
+// testJobstore opens a jobstore at dir for worker id with millisecond
+// retry backoff.
+func testJobstore(t *testing.T, dir, id string) *jobstore.Store {
+	t.Helper()
+	js, err := jobstore.Open(dir, jobstore.WithWorker(id), jobstore.WithBackoff(time.Millisecond, 10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
 }
 
 // postJob submits a job and decodes the 202 status.
@@ -310,9 +338,13 @@ func TestCancelJob(t *testing.T) {
 }
 
 // TestShutdownDrains verifies the drain contract: admission stops with
-// 503, queued jobs cancel, running jobs finish within the grace.
+// 503, running jobs finish within the grace, and queued jobs stay queued
+// in the jobstore — unleased — so a server restarted on the same jobs
+// directory adopts and finishes them.
 func TestShutdownDrains(t *testing.T) {
-	s, ts, release, started := blockingServer(t, Config{Workers: 1, QueueDepth: 8})
+	jobsDir := t.TempDir()
+	js := testJobstore(t, jobsDir, "w-old")
+	s, ts, release, started := blockingServer(t, Config{Jobs: js, Workers: 1, QueueDepth: 8})
 
 	running := postJob(t, ts, `{"preset":"tiny"}`)
 	<-started
@@ -350,8 +382,28 @@ func TestShutdownDrains(t *testing.T) {
 	if st := awaitState(t, ts, running.ID, StateDone); st.State != StateDone {
 		t.Errorf("running job after drain: %+v", st)
 	}
-	if st := awaitState(t, ts, queued.ID, StateCanceled); st.Error == "" {
-		t.Errorf("queued job after drain carries no reason: %+v", st)
+	s.mu.Lock()
+	mirror := s.jobs[queued.ID]
+	s.mu.Unlock()
+	if st := mirror.status(); st.State != StateQueued || st.Error == "" {
+		t.Errorf("queued job mirror after drain = %q (reason %q), want queued with a reason", st.State, st.Error)
+	}
+	if rec, err := js.Get(queued.ID); err != nil || rec.State != jobstore.StateQueued {
+		t.Errorf("queued job record after drain = (%+v, %v), want queued", rec, err)
+	}
+	if leases, err := js.Leases(); err != nil || len(leases) != 0 {
+		t.Errorf("leases after drain = (%v, %v), want none", leases, err)
+	}
+
+	// A fresh server on the same jobs directory adopts the queued job.
+	_, ts2 := tinyServer(t, Config{
+		Jobs: testJobstore(t, jobsDir, "w-new"),
+		execute: func(ctx context.Context, j *job) (any, error) {
+			return map[string]string{"adopted": j.id}, nil
+		},
+	})
+	if st := awaitState(t, ts2, queued.ID, StateDone); st.Worker != "w-new" {
+		t.Errorf("adopted job finished by %q, want w-new", st.Worker)
 	}
 }
 
@@ -389,7 +441,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestMetricsEndpoint checks the exposition format carries the queue,
-// job-state, and store gauges.
+// job-state, store, and lease gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {
@@ -416,6 +468,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cmm_queue_depth 0",
 		"cmm_store_disk_entries 1",
 		"cmm_store_disk_bytes ",
+		"cmm_leases_active 1",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)

@@ -28,7 +28,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -429,48 +428,54 @@ func (c *Counters) Emit(e Event) {
 	}
 }
 
+// counterTable lists every counter once, by exposition name (sorted, so
+// WriteMetrics prints in name order); Snapshot, WriteMetrics and
+// PublishExpvar all derive from it.
+var counterTable = [...]struct {
+	name string
+	load func(*Counters) uint64
+}{
+	{"detections_total", func(c *Counters) uint64 { return uint64(c.detections.Load()) }},
+	{"epochs_total", func(c *Counters) uint64 { return uint64(c.epochs.Load()) }},
+	{"jobs_quarantined_total", func(c *Counters) uint64 { return uint64(c.jobsQuarantined.Load()) }},
+	{"jobs_requeued_total", func(c *Counters) uint64 { return uint64(c.jobsRequeued.Load()) }},
+	{"jobs_retried_total", func(c *Counters) uint64 { return uint64(c.jobsRetried.Load()) }},
+	{"learn_demotions_total", func(c *Counters) uint64 { return uint64(c.learnDemotions.Load()) }},
+	{"learn_fallbacks_total", func(c *Counters) uint64 { return uint64(c.learnFallbacks.Load()) }},
+	{"learn_predictions_total", func(c *Counters) uint64 { return uint64(c.learnPredictions.Load()) }},
+	{"learn_shadow_audits_total", func(c *Counters) uint64 { return uint64(c.learnShadowAudits.Load()) }},
+	{"mba_changes_total", func(c *Counters) uint64 { return uint64(c.mbaChanges.Load()) }},
+	{"model_reload_errors_total", func(c *Counters) uint64 { return uint64(c.modelReloadErrors.Load()) }},
+	{"model_reloads_total", func(c *Counters) uint64 { return uint64(c.modelReloads.Load()) }},
+	{"model_rollbacks_total", func(c *Counters) uint64 { return uint64(c.modelRollbacks.Load()) }},
+	{"partition_changes_total", func(c *Counters) uint64 { return uint64(c.partitionChanges.Load()) }},
+	{"read_hits_total", func(c *Counters) uint64 { return uint64(c.readHits.Load()) }},
+	{"read_misses_total", func(c *Counters) uint64 { return uint64(c.readMisses.Load()) }},
+	{"read_not_modified_total", func(c *Counters) uint64 { return uint64(c.readNotModified.Load()) }},
+	{"sampling_cycles_total", func(c *Counters) uint64 { return c.samplingCycles.Load() }},
+	{"sampling_intervals_total", func(c *Counters) uint64 { return uint64(c.samplingIntervals.Load()) }},
+	{"solo_runs_total", func(c *Counters) uint64 { return uint64(c.soloRuns.Load()) }},
+	{"store_hits_total", func(c *Counters) uint64 { return uint64(c.storeHits.Load()) }},
+	{"store_misses_total", func(c *Counters) uint64 { return uint64(c.storeMisses.Load()) }},
+	{"throttle_flips_total", func(c *Counters) uint64 { return uint64(c.throttleFlips.Load()) }},
+}
+
 // Snapshot returns the current totals keyed by metric name (the same
 // names WriteMetrics prints, without the prefix).
 func (c *Counters) Snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"epochs_total":              uint64(c.epochs.Load()),
-		"detections_total":          uint64(c.detections.Load()),
-		"throttle_flips_total":      uint64(c.throttleFlips.Load()),
-		"partition_changes_total":   uint64(c.partitionChanges.Load()),
-		"mba_changes_total":         uint64(c.mbaChanges.Load()),
-		"sampling_cycles_total":     c.samplingCycles.Load(),
-		"sampling_intervals_total":  uint64(c.samplingIntervals.Load()),
-		"learn_predictions_total":   uint64(c.learnPredictions.Load()),
-		"learn_fallbacks_total":     uint64(c.learnFallbacks.Load()),
-		"learn_shadow_audits_total": uint64(c.learnShadowAudits.Load()),
-		"learn_demotions_total":     uint64(c.learnDemotions.Load()),
-		"model_reloads_total":       uint64(c.modelReloads.Load()),
-		"model_reload_errors_total": uint64(c.modelReloadErrors.Load()),
-		"model_rollbacks_total":     uint64(c.modelRollbacks.Load()),
-		"solo_runs_total":           uint64(c.soloRuns.Load()),
-		"store_hits_total":          uint64(c.storeHits.Load()),
-		"store_misses_total":        uint64(c.storeMisses.Load()),
-		"jobs_retried_total":        uint64(c.jobsRetried.Load()),
-		"jobs_requeued_total":       uint64(c.jobsRequeued.Load()),
-		"jobs_quarantined_total":    uint64(c.jobsQuarantined.Load()),
-		"read_hits_total":           uint64(c.readHits.Load()),
-		"read_misses_total":         uint64(c.readMisses.Load()),
-		"read_not_modified_total":   uint64(c.readNotModified.Load()),
+	snap := make(map[string]uint64, len(counterTable))
+	for _, m := range counterTable {
+		snap[m.name] = m.load(c)
 	}
+	return snap
 }
 
 // WriteMetrics renders the counters in the plain-text exposition format
 // (one "<prefix><name> <value>" line per counter, sorted by name) served
-// by cmmd's /metrics endpoint.
+// by the /metrics endpoints of cmmd and cmmserve.
 func (c *Counters) WriteMetrics(w io.Writer, prefix string) {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "%s%s %d\n", prefix, n, snap[n])
+	for _, m := range counterTable {
+		fmt.Fprintf(w, "%s%s %d\n", prefix, m.name, m.load(c))
 	}
 }
 
@@ -479,32 +484,7 @@ func (c *Counters) WriteMetrics(w io.Writer, prefix string) {
 // re-registration panics, so call this at most once per prefix per
 // process — daemon startup, not library code.
 func (c *Counters) PublishExpvar(prefix string) {
-	for name, load := range map[string]func() uint64{
-		"epochs_total":              func() uint64 { return uint64(c.epochs.Load()) },
-		"detections_total":          func() uint64 { return uint64(c.detections.Load()) },
-		"throttle_flips_total":      func() uint64 { return uint64(c.throttleFlips.Load()) },
-		"partition_changes_total":   func() uint64 { return uint64(c.partitionChanges.Load()) },
-		"mba_changes_total":         func() uint64 { return uint64(c.mbaChanges.Load()) },
-		"sampling_cycles_total":     func() uint64 { return c.samplingCycles.Load() },
-		"sampling_intervals_total":  func() uint64 { return uint64(c.samplingIntervals.Load()) },
-		"learn_predictions_total":   func() uint64 { return uint64(c.learnPredictions.Load()) },
-		"learn_fallbacks_total":     func() uint64 { return uint64(c.learnFallbacks.Load()) },
-		"learn_shadow_audits_total": func() uint64 { return uint64(c.learnShadowAudits.Load()) },
-		"learn_demotions_total":     func() uint64 { return uint64(c.learnDemotions.Load()) },
-		"model_reloads_total":       func() uint64 { return uint64(c.modelReloads.Load()) },
-		"model_reload_errors_total": func() uint64 { return uint64(c.modelReloadErrors.Load()) },
-		"model_rollbacks_total":     func() uint64 { return uint64(c.modelRollbacks.Load()) },
-		"solo_runs_total":           func() uint64 { return uint64(c.soloRuns.Load()) },
-		"store_hits_total":          func() uint64 { return uint64(c.storeHits.Load()) },
-		"store_misses_total":        func() uint64 { return uint64(c.storeMisses.Load()) },
-		"jobs_retried_total":        func() uint64 { return uint64(c.jobsRetried.Load()) },
-		"jobs_requeued_total":       func() uint64 { return uint64(c.jobsRequeued.Load()) },
-		"jobs_quarantined_total":    func() uint64 { return uint64(c.jobsQuarantined.Load()) },
-		"read_hits_total":           func() uint64 { return uint64(c.readHits.Load()) },
-		"read_misses_total":         func() uint64 { return uint64(c.readMisses.Load()) },
-		"read_not_modified_total":   func() uint64 { return uint64(c.readNotModified.Load()) },
-	} {
-		load := load
-		expvar.Publish(prefix+name, expvar.Func(func() any { return load() }))
+	for _, m := range counterTable {
+		expvar.Publish(prefix+m.name, expvar.Func(func() any { return m.load(c) }))
 	}
 }

@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"expvar"
+	"fmt"
 	"io"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // recorder captures events for assertions.
@@ -168,6 +172,39 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 	if n != len(want) {
 		t.Errorf("WriteMetrics printed %d lines, want %d", n, len(want))
+	}
+}
+
+// TestPublishExpvarMatchesSnapshot pins that the expvar registry and
+// Snapshot expose exactly the same counters with the same values, and that
+// WriteMetrics prints them in name order.
+func TestPublishExpvarMatchesSnapshot(t *testing.T) {
+	var c Counters
+	c.Emit(sampleEpochEvent(0))
+	c.Emit(Event{Type: TypeStore, Hit: true})
+	c.JobRetried()
+	c.ReadNotModified()
+	c.ModelRollback()
+
+	// expvar names are process-global, so each run (-count=N) needs its
+	// own prefix.
+	prefix := fmt.Sprintf("telemetry_test_%d_", time.Now().UnixNano())
+	c.PublishExpvar(prefix)
+	got := map[string]uint64{}
+	expvar.Do(func(kv expvar.KeyValue) {
+		if name, ok := strings.CutPrefix(kv.Key, prefix); ok {
+			got[name] = kv.Value.(expvar.Func)().(uint64)
+		}
+	})
+	if want := c.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("expvar:\n got %v\nwant %v", got, want)
+	}
+
+	var buf bytes.Buffer
+	c.WriteMetrics(&buf, "")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if !sort.StringsAreSorted(lines) {
+		t.Errorf("WriteMetrics lines not sorted by name:\n%s", buf.String())
 	}
 }
 

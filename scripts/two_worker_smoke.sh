@@ -19,6 +19,10 @@
 # be rejected — old model keeps serving, reload-error counters bump —
 # and a clean second promotion must swap both workers again.
 #
+# Phase 4 (lone server, no -store): a single cmmserve keeps its jobs in
+# a temporary jobstore under $TMPDIR, runs a small comparison job to
+# done, and after SIGTERM must leave no job directory behind.
+#
 # Usage: scripts/two_worker_smoke.sh
 # Exits 0 on success; prints a FAIL line and exits 1 otherwise.
 set -euo pipefail
@@ -269,4 +273,44 @@ FP2=$(cat "$MODELS/current")
 wait_model_fp "$A_URL" "$FP2"
 wait_model_fp "$B_URL" "$FP2"
 echo "PASS (phase 3): corrupt promotion rejected; both workers hot-swapped to $FP2"
-echo "PASS: all three phases"
+
+# ---- Phase 4: lone server without -store -----------------------------
+
+echo "stopping workers a and b; starting a lone worker without -store"
+kill -TERM "$A_PID" "$B_PID"
+wait "$A_PID" "$B_PID" || true
+A_PID=""; B_PID=""
+mkdir -p "$WORK/tmp"
+TMPDIR="$WORK/tmp" "$BIN" -listen "127.0.0.1:$PORT_A" -worker-id smoke-lone \
+    -scan 300ms >"$WORK/a.log" 2>&1 &
+A_PID=$!
+for i in $(seq 1 50); do
+    [ "$(curl -sf "$A_URL/healthz" 2>/dev/null || true)" = ok ] && break
+    [ "$i" = 50 ] && fail "lone worker did not become healthy"
+    sleep 0.2
+done
+[ -n "$(ls -A "$WORK/tmp")" ] || fail "lone worker created no temporary jobstore under \$TMPDIR"
+
+curl -s "$A_URL/v1/jobs" \
+    -d '{"kind":"comparison","preset":"quick","seeds":[5],"mixes_per_category":1,"policies":["PT"]}' \
+    >"$WORK/submit4.json"
+JOB4=$(jsonfield "$WORK/submit4.json" id)
+[ -n "$JOB4" ] || fail "no job id in $(cat "$WORK/submit4.json")"
+DONE4=""
+for i in $(seq 1 200); do
+    curl -s "$A_URL/v1/jobs/$JOB4" >"$WORK/status4.json" || true
+    state=$(jsonfield "$WORK/status4.json" state)
+    if [ "$state" = done ]; then DONE4=yes; break; fi
+    { [ "$state" = failed ] || [ "$state" = canceled ]; } \
+        && fail "lone-worker job ended $state: $(cat "$WORK/status4.json")"
+    sleep 0.3
+done
+[ -n "$DONE4" ] || fail "lone-worker job never finished: $(cat "$WORK/status4.json")"
+curl -sf "$A_URL/v1/jobs/$JOB4/result" | grep -q '"results"' || fail "lone worker served no result"
+
+kill -TERM "$A_PID"
+wait "$A_PID" || fail "lone worker exited non-zero after SIGTERM"
+A_PID=""
+[ -z "$(ls -A "$WORK/tmp")" ] || fail "lone worker left $(ls "$WORK/tmp") under \$TMPDIR after the drain"
+echo "PASS (phase 4): lone worker ran job $JOB4 to done and removed its temporary jobstore"
+echo "PASS: all four phases"
