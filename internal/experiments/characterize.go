@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"cmm/internal/mem"
 	"cmm/internal/mixes"
@@ -21,6 +22,16 @@ type soloRun struct {
 	TotalBW float64 // GB/s, demand+prefetch
 	Sample  pmu.Sample
 }
+
+// measBufs holds reusable PMU measurement buffers. Solo runs borrow them
+// from measPool so repeated sweeps (and each parallel worker) reuse
+// storage instead of allocating per run.
+type measBufs struct {
+	snaps   []pmu.Snapshot
+	samples []pmu.Sample
+}
+
+var measPool = sync.Pool{New: func() any { return new(measBufs) }}
 
 func runSolo(opts Options, spec workload.Spec, seed int64, msrVal uint64, ways int) (soloRun, error) {
 	// Alone-IPC baselines run one core with local memory: a 1-core machine

@@ -9,7 +9,6 @@ import (
 	"cmm/internal/mixes"
 	"cmm/internal/parallel"
 	"cmm/internal/pmu"
-	"cmm/internal/sim"
 	"cmm/internal/telemetry"
 	"cmm/internal/workload"
 )
@@ -31,66 +30,52 @@ type policyRun struct {
 	ExecCycles, ProfCycles uint64
 }
 
-// measBufs holds reusable PMU measurement buffers. Runs borrow them from
-// measPool so repeated sweeps (and each parallel worker) reuse storage
-// instead of allocating per run.
-type measBufs struct {
-	snaps   []pmu.Snapshot
-	samples []pmu.Sample
-}
-
-var measPool = sync.Pool{New: func() any { return new(measBufs) }}
-
-// runPolicy drives policy over sys, a machine that has just run its mix's
-// first execution epoch (see prefixCache) from the cold PMU state start,
-// and measures the run: the controller finishes that epoch, runs the rest
-// of the warm-up, and then the measured epochs.
-func runPolicy(opts Options, sys *sim.System, start []pmu.Snapshot, mix string, policy cmm.Policy, seed int64) (policyRun, error) {
-	ctrl, err := cmm.NewController(opts.CMM, cmm.NewSimTarget(sys), policy)
+// runPolicy drives policy over t, a run at the root of its mix's history
+// tree (see prefixCache), and measures the run: the controller finishes
+// the first execution epoch, which started from the cold PMU state
+// t.p.start, runs the rest of the warm-up, and then the measured epochs.
+// Every measurement is read from the node the run ends at.
+func runPolicy(opts Options, t *runTarget, mix string, policy cmm.Policy, seed int64) (policyRun, error) {
+	ctrl, err := cmm.NewController(opts.CMM, t, policy)
 	if err != nil {
 		return policyRun{}, err
 	}
 	if opts.Telemetry != nil {
 		ctrl.SetSink(telemetry.WithRun(opts.Telemetry, mix, seed))
 	}
-	if err := ctrl.FinishEpoch(start); err != nil {
+	if err := ctrl.FinishEpoch(t.p.start); err != nil {
 		return policyRun{}, err
 	}
-	bufs := measPool.Get().(*measBufs)
-	defer measPool.Put(bufs)
 	// Bandwidth is tracked per node: each NUMA node owns a controller, so
 	// machine-wide traffic is the sum over node controllers, never a single
 	// controller's field. Without warm-up the measurement spans the first
 	// epoch too, from the cold machine: its snapshots are start, and at
 	// cycle 0 it has moved no bytes.
-	nodeBefore := make([]uint64, sys.NumNodes())
-	since, from, measure := start, uint64(0), opts.MeasureEpochs-1
+	from := &histNode{snaps: t.p.start, nodeBytes: make([]uint64, len(t.at.nodeBytes))}
+	measure := opts.MeasureEpochs - 1
 	if opts.WarmEpochs > 0 {
 		if err := ctrl.RunEpochs(opts.WarmEpochs - 1); err != nil {
 			return policyRun{}, err
 		}
-		bufs.snaps = sys.SnapshotsInto(bufs.snaps)
-		for nd := range nodeBefore {
-			nodeBefore[nd] = sys.NodeBytes(nd)
-		}
-		since, from, measure = bufs.snaps, sys.Now(), opts.MeasureEpochs
+		from, measure = t.at, opts.MeasureEpochs
 	}
 	if err := ctrl.RunEpochs(measure); err != nil {
 		return policyRun{}, err
 	}
-	bufs.samples = sys.DeltasInto(bufs.samples, since)
-	deltas := bufs.samples
+	to := t.at
 	run := policyRun{
-		IPC:       sim.IPCs(deltas),
-		Cycles:    sys.Now() - from,
-		NodeBytes: make([]uint64, sys.NumNodes()),
+		IPC:       make([]float64, len(to.snaps)),
+		Cycles:    to.now - from.now,
+		NodeBytes: make([]uint64, len(to.nodeBytes)),
+	}
+	for c := range to.snaps {
+		d := to.snaps[c].Delta(from.snaps[c])
+		run.IPC[c] = d.IPC()
+		run.Stalls += d.Value(pmu.StallsL2Pending)
 	}
 	for nd := range run.NodeBytes {
-		run.NodeBytes[nd] = sys.NodeBytes(nd) - nodeBefore[nd]
+		run.NodeBytes[nd] = to.nodeBytes[nd] - from.nodeBytes[nd]
 		run.Bytes += run.NodeBytes[nd]
-	}
-	for c := 0; c < sys.NumCores(); c++ {
-		run.Stalls += deltas[c].Value(pmu.StallsL2Pending)
 	}
 	run.Stats = cmm.SummarizeDecisions(ctrl.Decisions())
 	run.ExecCycles, run.ProfCycles = ctrl.Overhead()
@@ -237,9 +222,11 @@ func uniqueSpecs(ms []mixes.Mix) []workload.Spec {
 // their report names; pass cmm.Policies()[1:] for the paper's full set.
 //
 // Every (mix, policy, seed) simulation run is independent, so the engine
-// fans them out across Options.Workers goroutines; each run drives its own
-// simulator instance and a Clone of the policy, so no two runs alias
-// mutable state. Results land in slots keyed by (mix, policy, seed) index
+// fans them out across Options.Workers goroutines; each run drives a Clone
+// of the policy over its own target, which follows the recorded history of
+// the mix's earlier runs and simulates on a machine of its own only where
+// it departs from them (see prefixCache), so no two runs alias mutable
+// state. Results land in slots keyed by (mix, policy, seed) index
 // and the final scoring pass walks them in deterministic order — the
 // output is bit-identical for any worker count.
 //
@@ -252,11 +239,20 @@ func RunComparison(opts Options, policies []cmm.Policy) (*Comparison, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	selected, err := paperMixes(opts)
+	if err != nil {
+		return nil, err
+	}
+	return RunComparisonMixes(opts, selected, policies)
+}
+
+// paperMixes selects the first opts.MixesPerCategory mixes of each of the
+// paper's categories.
+func paperMixes(opts Options) ([]mixes.Mix, error) {
 	all, err := mixes.All(opts.Cores, opts.BaseSeed)
 	if err != nil {
 		return nil, err
 	}
-	// Honor reduced mix counts for quick runs.
 	var selected []mixes.Mix
 	for c := mixes.Category(0); c < mixes.NumCategories; c++ {
 		kept := 0
@@ -267,7 +263,7 @@ func RunComparison(opts Options, policies []cmm.Policy) (*Comparison, error) {
 			}
 		}
 	}
-	return RunComparisonMixes(opts, selected, policies)
+	return selected, nil
 }
 
 // RunComparisonMixes is RunComparison over an explicit mix list instead of
@@ -337,12 +333,12 @@ func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, pr
 		simulated := false
 		r, err := runPolicyCached(opts, mix, p, seed, func(policy cmm.Policy) (policyRun, error) {
 			simulated = true
-			sys, start, err := prefixes.acquire(k, mix, seed)
+			t, err := prefixes.acquire(k, mix, seed)
 			if err != nil {
 				return policyRun{}, err
 			}
-			defer prefixes.release(sys)
-			return runPolicy(opts, sys, start, mix.Name, policy, seed)
+			defer prefixes.finish(t)
+			return runPolicy(opts, t, mix.Name, policy, seed)
 		})
 		if !simulated {
 			prefixes.skip(k)

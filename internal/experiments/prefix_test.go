@@ -3,14 +3,19 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"cmm/internal/cmm"
 	"cmm/internal/mixes"
+	"cmm/internal/msr"
 	"cmm/internal/pmu"
 	"cmm/internal/runstore"
 	"cmm/internal/sim"
@@ -127,17 +132,59 @@ func checkReleased(t *testing.T, pc *prefixCache) {
 	}
 }
 
-// TestPrefixSharingMatchesColdOracle runs a comparison with shared first
-// epochs, with and without warm-up, and checks it against runs built
-// cold: every run's store bytes and epoch events are identical, and a
-// comparison scored purely from the oracle's runs has the same
-// MixResults and Telemetry summary.
+// mirrorPolicy programs the machine exactly as inner does for its first
+// k epochs and from then on also switches core 0's adjacent-line
+// prefetcher off, a setting no paper policy writes: its run follows
+// inner's recorded history until it diverges, then replays that head.
+type mirrorPolicy struct {
+	inner    cmm.Policy
+	k, epoch int
+}
+
+func (p *mirrorPolicy) Name() string      { return "mirror" }
+func (p *mirrorPolicy) Clone() cmm.Policy { return &mirrorPolicy{inner: p.inner.Clone(), k: p.k} }
+func (p *mirrorPolicy) Epoch(t cmm.Target, cfg cmm.Config, exec []pmu.Sample) (cmm.Decision, error) {
+	dec, err := p.inner.Epoch(t, cfg, exec)
+	if err == nil && p.epoch >= p.k {
+		err = t.WriteMSR(0, msr.MiscFeatureControl, msr.DisableL2Adjacent)
+	}
+	p.epoch++
+	dec.Policy = p.Name()
+	return dec, err
+}
+
+// relabelPolicy programs the machine exactly as inner does but reports
+// other decisions: its run repeats inner's whole history, so its
+// measurements match inner's while its events and decision stats differ.
+type relabelPolicy struct{ inner cmm.Policy }
+
+func (p relabelPolicy) Name() string      { return "relabel" }
+func (p relabelPolicy) Clone() cmm.Policy { return relabelPolicy{p.inner.Clone()} }
+func (p relabelPolicy) Epoch(t cmm.Target, cfg cmm.Config, exec []pmu.Sample) (cmm.Decision, error) {
+	dec, err := p.inner.Epoch(t, cfg, exec)
+	dec.Policy = p.Name()
+	dec.Detection.Agg = nil
+	dec.FellBackToDunn = !dec.FellBackToDunn
+	return dec, err
+}
+
+// TestPrefixSharingMatchesColdOracle runs a comparison with shared
+// histories, without warm-up on eight workers and with it on one, and
+// checks it against runs built cold: every run's store bytes and epoch
+// events are identical, and a comparison scored purely from the oracle's
+// runs has the same MixResults and Telemetry summary. Beside PT and CMM-a
+// it runs a policy that repeats PT's history with other decisions (its
+// runs follow PT's throughout) and one that repeats CMM-a's for an epoch
+// (its runs replay CMM-a's head, then run live); on one worker both must
+// happen on every (mix, seed).
 func TestPrefixSharingMatchesColdOracle(t *testing.T) {
-	for _, warm := range []int{0, 1} {
-		t.Run(fmt.Sprintf("warm%d", warm), func(t *testing.T) {
-			opts := prefixOptions(warm)
+	for _, tc := range []struct{ warm, workers int }{{0, 8}, {1, 1}} {
+		t.Run(fmt.Sprintf("warm%d", tc.warm), func(t *testing.T) {
+			opts := prefixOptions(tc.warm)
+			opts.Workers = tc.workers
 			selected := prefixMixes(t, opts)
 			policies := tinyPolicies(t, "PT", "CMM-a")
+			policies = append(policies, &mirrorPolicy{inner: policies[1], k: 1}, relabelPolicy{policies[0]})
 
 			shared := opts
 			shared.Store = openStore(t)
@@ -149,6 +196,9 @@ func TestPrefixSharingMatchesColdOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkReleased(t, pc)
+			if n := len(selected) * len(opts.Seeds); tc.workers == 1 && (pc.followed < n || pc.replayed < n) {
+				t.Errorf("%d runs followed a whole history and %d replayed a head, want at least %d each", pc.followed, pc.replayed, n)
+			}
 
 			oracleStore := openStore(t)
 			var oracleLog epochLog
@@ -206,10 +256,27 @@ func (failPolicy) Epoch(cmm.Target, cmm.Config, []pmu.Sample) (cmm.Decision, err
 	return cmm.Decision{}, errors.New("injected failure")
 }
 
+// failAfter runs inner and fails its epoch at (counted from 0).
+type failAfter struct {
+	inner     cmm.Policy
+	at, epoch int
+}
+
+func (p *failAfter) Name() string      { return "fail-after" }
+func (p *failAfter) Clone() cmm.Policy { return &failAfter{inner: p.inner.Clone(), at: p.at} }
+func (p *failAfter) Epoch(t cmm.Target, cfg cmm.Config, exec []pmu.Sample) (cmm.Decision, error) {
+	if p.epoch == p.at {
+		return cmm.Decision{}, errors.New("injected failure")
+	}
+	p.epoch++
+	return p.inner.Epoch(t, cfg, exec)
+}
+
 // TestPrefixReleasedOnEveryExit: no prefix outlives its sweep, whether
 // the sweep completes, is cancelled while a prefix still has runs to
-// serve, or stops on a run's error. A completed one-worker sweep makes
-// exactly two machines, however many mixes and seeds it has.
+// serve, or stops on a run's error, raised while the run follows a
+// recorded history or after it replayed one. A completed one-worker sweep
+// makes exactly two machines, however many mixes and seeds it has.
 func TestPrefixReleasedOnEveryExit(t *testing.T) {
 	opts := prefixOptions(1)
 	opts.Workers = 1
@@ -281,6 +348,125 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 		}
 		if pc.made == 0 {
 			t.Fatal("no prefix was built before the failure")
+		}
+		checkReleased(t, pc)
+	})
+
+	t.Run("follower error", func(t *testing.T) {
+		pc := new(prefixCache)
+		pt := tinyPolicies(t, "PT")[0]
+		if _, err := runComparison(opts, selected, []cmm.Policy{pt, &failAfter{inner: relabelPolicy{pt}, at: 2}}, pc); err == nil {
+			t.Fatal("failing policy did not fail the sweep")
+		}
+		if pc.followed != 1 {
+			t.Errorf("%d runs ended following a history, want the failed one", pc.followed)
+		}
+		checkReleased(t, pc)
+	})
+
+	t.Run("replayed error", func(t *testing.T) {
+		pc := new(prefixCache)
+		cmmA := tinyPolicies(t, "CMM-a")[0]
+		if _, err := runComparison(opts, selected, []cmm.Policy{cmmA, &failAfter{inner: &mirrorPolicy{inner: cmmA}, at: 2}}, pc); err == nil {
+			t.Fatal("failing policy did not fail the sweep")
+		}
+		if pc.replayed != 1 {
+			t.Errorf("%d runs replayed a recorded head, want the failed one", pc.replayed)
+		}
+		checkReleased(t, pc)
+	})
+}
+
+// TestHistorySharingAccounting runs the golden quick Fig. 13 sweep on one
+// worker with the policies in two orders. Whatever the order, exactly
+// eight of the 32 policy runs repeat an earlier run's whole history and
+// simulate nothing past their prefix, all runs of a group of identically
+// programmed policies but the first: Pref-CP2 and CMM-a/b/c on Pref Fri
+// (3); PT, Pref-CP and Pref-CP2 (PT only leaves alone the CAT registers
+// the other two rewrite to the values they hold), and CMM-a/b/c, on Pref
+// No Agg (4); CMM-a and CMM-c on Pref Unfri (1). The sweep
+// makes at most two machines, releases them, and still matches the golden
+// snapshot. A sweep cancelled mid-way, or stopped by a run that fails
+// while it follows another's history, releases everything too.
+func TestHistorySharingAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("comparison runs are slow")
+	}
+	if raceEnabled {
+		t.Skip("serial calibration test; ~10x slower under -race with no added coverage")
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "fig13_quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden goldenFig13
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	opts := shapeOptions()
+	opts.Workers = 1
+	selected, err := paperMixes(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := cmm.Policies()[1:]
+	for _, seed := range []int64{1, 2} {
+		policies := make([]cmm.Policy, len(all))
+		for i, j := range rand.New(rand.NewSource(seed)).Perm(len(all)) {
+			policies[i] = all[j]
+		}
+		pc := new(prefixCache)
+		comp, err := runComparison(opts, selected, policies, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReleased(t, pc)
+		if pc.followed != 8 {
+			t.Errorf("order %d: %d policy runs simulated nothing past their prefix, want 8", seed, pc.followed)
+		}
+		if pc.made > 2 {
+			t.Errorf("order %d: one-worker sweep made %d machines, want at most 2", seed, pc.made)
+		}
+		for _, p := range golden.Policies {
+			if !reflect.DeepEqual(comp.Results[p], golden.Results[p]) {
+				t.Errorf("order %d: %s drifted from the golden snapshot:\n got %+v\nwant %+v", seed, p, comp.Results[p], golden.Results[p])
+			}
+		}
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		o := opts
+		o.Context = ctx
+		nRuns := len(selected) * (len(all) + 1) * len(o.Seeds)
+		o.Progress = func(done, total int) {
+			if done == total-nRuns+12 { // inside the second mix's history
+				cancel()
+			}
+		}
+		pc := new(prefixCache)
+		if _, err := runComparison(o, selected, all, pc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		checkReleased(t, pc)
+		if pc.made > 2 {
+			t.Errorf("one-worker sweep made %d machines, want at most 2", pc.made)
+		}
+	})
+
+	t.Run("follower error", func(t *testing.T) {
+		byName := map[string]cmm.Policy{}
+		for _, p := range all {
+			byName[p.Name()] = p
+		}
+		pc := new(prefixCache)
+		policies := []cmm.Policy{byName["CMM-a"], &failAfter{inner: byName["CMM-b"], at: 2}}
+		if _, err := runComparison(opts, selected, policies, pc); err == nil {
+			t.Fatal("failing policy did not fail the sweep")
+		}
+		if pc.followed != 1 {
+			t.Errorf("%d runs ended following a history, want the failed one", pc.followed)
 		}
 		checkReleased(t, pc)
 	})

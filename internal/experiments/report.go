@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"cmm/internal/mixes"
 )
 
 // WriteMarkdownSummary emits the category-mean summary of a comparison as
@@ -31,7 +29,7 @@ func WriteMarkdownSummary(w io.Writer, c *Comparison) {
 			fmt.Fprint(w, "---|")
 		}
 		fmt.Fprintln(w)
-		for cat := mixes.Category(0); cat < mixes.NumCategories; cat++ {
+		for _, cat := range c.categories() {
 			fmt.Fprintf(w, "| %s |", cat)
 			for _, p := range c.Policies {
 				fmt.Fprintf(w, " %.3f |", c.CategoryMeans(p, sec.metric)[cat])

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cmm/internal/mixes"
@@ -108,16 +109,35 @@ func WriteSingleMetric(w io.Writer, c *Comparison, label string, metric func(Mix
 	writeCategoryMeans(w, c, policies, label, metric)
 }
 
+// writeCategoryMeans prints one row per category of c (see categories)
+// and one column per policy.
 func writeCategoryMeans(w io.Writer, c *Comparison, policies []string, label string, metric func(MixResult) float64) {
 	fmt.Fprintf(w, "-- category means (%s) --\n", label)
-	for cat := mixes.Category(0); cat < mixes.NumCategories; cat++ {
+	fmt.Fprintf(w, "%-14s", "category")
+	means := make([]map[mixes.Category]float64, len(policies))
+	for i, p := range policies {
+		fmt.Fprintf(w, " %12s", p)
+		means[i] = c.CategoryMeans(p, metric)
+	}
+	fmt.Fprintln(w)
+	for _, cat := range c.categories() {
 		fmt.Fprintf(w, "%-14s", cat.String())
-		for _, p := range policies {
-			means := c.CategoryMeans(p, metric)
-			fmt.Fprintf(w, " %12.3f", means[cat])
+		for i := range policies {
+			fmt.Fprintf(w, " %12.3f", means[i][cat])
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// categories lists the categories of c's mixes in first-appearance order.
+func (c *Comparison) categories() []mixes.Category {
+	var out []mixes.Category
+	for _, m := range c.Mixes {
+		if !slices.Contains(out, m.Category) {
+			out = append(out, m.Category)
+		}
+	}
+	return out
 }
 
 // CSV emits the full comparison dataset as CSV (one row per mix×policy).

@@ -145,3 +145,46 @@ func TestWriteMarkdownCharacterization(t *testing.T) {
 		t.Errorf("characterization row wrong:\n%s", b.String())
 	}
 }
+
+// TestCategoryMeansOutsidePaperCategories: the category-mean rows list the
+// categories a comparison ran, in first-appearance order, the extension
+// families included, and none it did not run; their header names one
+// column per policy.
+func TestCategoryMeansOutsidePaperCategories(t *testing.T) {
+	mk := func(name string, cat mixes.Category, hs float64) MixResult {
+		return MixResult{Mix: name, Category: cat, NormHS: hs, NormWS: hs}
+	}
+	c := &Comparison{
+		Policies: []string{"PT", "CMM-a"},
+		Mixes: []mixes.Mix{
+			{Name: "Many Core 64c #1", Category: mixes.ManyCore},
+			{Name: "BW Sat #1", Category: mixes.BWSat},
+			{Name: "Many Core 64c #2", Category: mixes.ManyCore},
+		},
+		Results: map[string][]MixResult{
+			"PT": {mk("Many Core 64c #1", mixes.ManyCore, 1.0), mk("BW Sat #1", mixes.BWSat, 1.5),
+				mk("Many Core 64c #2", mixes.ManyCore, 1.2)},
+			"CMM-a": {mk("Many Core 64c #1", mixes.ManyCore, 1.1), mk("BW Sat #1", mixes.BWSat, 1.6),
+				mk("Many Core 64c #2", mixes.ManyCore, 1.3)},
+		},
+	}
+	var b bytes.Buffer
+	WriteSingleMetric(&b, c, "HS", MetricHS, "PT", "CMM-a")
+	_, means, ok := strings.Cut(b.String(), "-- category means (HS) --\n")
+	if !ok {
+		t.Fatalf("no category means:\n%s", b.String())
+	}
+	want := "category                 PT        CMM-a\n" +
+		"Many Core             1.100        1.200\n" +
+		"BW Sat                1.500        1.600\n"
+	if means != want {
+		t.Errorf("category means:\n%s\nwant\n%s", means, want)
+	}
+
+	b.Reset()
+	WriteMarkdownSummary(&b, c)
+	out := b.String()
+	if !strings.Contains(out, "| Many Core | 1.100 | 1.200 |\n| BW Sat | 1.500 | 1.600 |\n\n") || strings.Contains(out, "Pref") {
+		t.Errorf("markdown summary rows wrong:\n%s", out)
+	}
+}

@@ -1,7 +1,9 @@
 package msr
 
 import (
+	"cmp"
 	"maps"
+	"slices"
 	"sync"
 )
 
@@ -27,6 +29,7 @@ func (f WatcherFunc) MSRWritten(cpu int, reg uint32, v uint64) { f(cpu, reg, v) 
 type Emulated struct {
 	mu      sync.Mutex
 	regs    []map[uint32]uint64 // per cpu
+	reset   map[uint32]uint64   // one cpu's registers at reset; never written
 	watch   []Watcher
 	numCLOS int
 }
@@ -34,18 +37,19 @@ type Emulated struct {
 // NewEmulated returns an emulated bank for n logical CPUs supporting
 // numCLOS classes of service (Broadwell-EP exposes 16).
 func NewEmulated(n, numCLOS int) *Emulated {
-	b := &Emulated{regs: make([]map[uint32]uint64, n), numCLOS: numCLOS}
+	reset := map[uint32]uint64{
+		MiscFeatureControl: 0, // all prefetchers enabled at reset
+		PQRAssoc:           0, // CLOS0
+	}
+	for c := 0; c < numCLOS; c++ {
+		// CLOS masks reset to all-ones (20 ways on the target part);
+		// the cat package narrows them. MBA resets to unthrottled.
+		reset[L3MaskBase+uint32(c)] = (1 << 20) - 1
+		reset[MBAThrottleBase+uint32(c)] = 0
+	}
+	b := &Emulated{regs: make([]map[uint32]uint64, n), reset: reset, numCLOS: numCLOS}
 	for i := range b.regs {
-		b.regs[i] = map[uint32]uint64{
-			MiscFeatureControl: 0, // all prefetchers enabled at reset
-			PQRAssoc:           0, // CLOS0
-		}
-		for c := 0; c < numCLOS; c++ {
-			// CLOS masks reset to all-ones (20 ways on the target part);
-			// the cat package narrows them. MBA resets to unthrottled.
-			b.regs[i][L3MaskBase+uint32(c)] = (1 << 20) - 1
-			b.regs[i][MBAThrottleBase+uint32(c)] = 0
-		}
+		b.regs[i] = maps.Clone(reset)
 	}
 	return b
 }
@@ -82,7 +86,76 @@ func (b *Emulated) CopyFrom(src *Emulated) {
 		clear(b.regs[i])
 		maps.Copy(b.regs[i], regs)
 	}
-	b.numCLOS = src.numCLOS
+	b.reset, b.numCLOS = src.reset, src.numCLOS
+}
+
+// Image appends to dst a compact, canonical encoding of b's registers and
+// returns it: one (cpu<<32|reg, value) pair for every register that
+// differs from a freshly built bank's, in ascending order. Two banks of
+// the same shape hold exactly the same registers if and only if their
+// images are equal.
+func (b *Emulated) Image(dst []uint64) []uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for cpu, regs := range b.regs {
+		from := len(dst)
+		for reg, v := range regs {
+			if r, ok := b.reset[reg]; !ok || v != r {
+				dst = append(dst, uint64(cpu)<<32|uint64(reg), v)
+			}
+		}
+		sortPairs(dst[from:])
+	}
+	return dst
+}
+
+// sortPairs sorts a flat slice of (key, value) pairs by key (insertion
+// sort: a CPU's registers that differ from reset are few).
+func sortPairs(p []uint64) {
+	for i := 2; i < len(p); i += 2 {
+		for j := i; j > 0 && p[j] < p[j-2]; j -= 2 {
+			p[j], p[j+1], p[j-2], p[j-1] = p[j-2], p[j-1], p[j], p[j+1]
+		}
+	}
+}
+
+// LoadImage makes b's registers those of the bank img (see Image) was
+// taken from, as if each register whose value changes were written:
+// watchers hear of exactly those registers, after the whole image is in
+// place, in CPU and register order. img must come from a bank of b's
+// shape.
+func (b *Emulated) LoadImage(img []uint64) {
+	type write struct {
+		cpu int
+		reg uint32
+		v   uint64
+	}
+	var writes []write
+	b.mu.Lock()
+	for cpu, regs := range b.regs {
+		want := maps.Clone(b.reset)
+		for i := 0; i < len(img); i += 2 {
+			if int(img[i]>>32) == cpu {
+				want[uint32(img[i])] = img[i+1]
+			}
+		}
+		for reg, v := range want {
+			if old, ok := regs[reg]; !ok || old != v {
+				writes = append(writes, write{cpu, reg, v})
+			}
+		}
+		b.regs[cpu] = want
+	}
+	slices.SortFunc(writes, func(x, y write) int {
+		return cmp.Or(cmp.Compare(x.cpu, y.cpu), cmp.Compare(x.reg, y.reg))
+	})
+	watchers := append([]Watcher(nil), b.watch...)
+	b.mu.Unlock()
+	for _, w := range writes {
+		for _, wt := range watchers {
+			wt.MSRWritten(w.cpu, w.reg, w.v)
+		}
+	}
 }
 
 // Read implements Bank.

@@ -2,8 +2,10 @@ package msr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -212,5 +214,96 @@ func TestDevCPUUnavailableOrRoundTrip(t *testing.T) {
 	defer d.Close()
 	if _, err := d.Read(0, MiscFeatureControl); err != nil {
 		t.Skipf("msr read not permitted: %v", err)
+	}
+}
+
+// TestImageIsCanonical: a bank's image lists exactly the registers that
+// differ from a fresh bank's, in order, however they were written, so two
+// banks have equal images exactly when they hold the same registers.
+func TestImageIsCanonical(t *testing.T) {
+	fresh := NewEmulated(4, 16)
+	if img := fresh.Image(nil); len(img) != 0 {
+		t.Fatalf("fresh bank image %#x, want empty", img)
+	}
+	a, b := NewEmulated(4, 16), NewEmulated(4, 16)
+	writes := [][3]uint64{
+		{3, uint64(L3MaskBase + 2), 0xf},
+		{1, uint64(MiscFeatureControl), DisableAll},
+		{0, uint64(PQRAssoc), PQRValue(0, 2)},
+		{1, uint64(PQRAssoc), 0}, // the reset value: no entry
+		{2, 0x10, 0},             // an unmodelled register: always an entry
+	}
+	for i, w := range writes {
+		if err := a.Write(int(w[0]), uint32(w[1]), w[2]); err != nil {
+			t.Fatal(err)
+		}
+		// b takes the writes in reverse order, plus one undone rewrite.
+		r := writes[len(writes)-1-i]
+		if err := b.Write(int(r[0]), uint32(r[1]), r[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Write(0, MiscFeatureControl, DisableL1IP); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Write(0, MiscFeatureControl, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{
+		0<<32 | uint64(PQRAssoc), PQRValue(0, 2),
+		1<<32 | uint64(MiscFeatureControl), DisableAll,
+		2<<32 | 0x10, 0,
+		3<<32 | uint64(L3MaskBase+2), 0xf,
+	}
+	if got := a.Image(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("image %#x, want %#x", got, want)
+	}
+	if got := b.Image(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("same registers written another way: image %#x, want %#x", got, want)
+	}
+}
+
+// TestImageLoadRoundTrip: loading an image reproduces the bank it came
+// from, drops registers the image lacks, and tells watchers of exactly
+// the registers whose value changed, in CPU and register order.
+func TestImageLoadRoundTrip(t *testing.T) {
+	src := NewEmulated(2, 4)
+	for _, w := range []struct {
+		cpu int
+		reg uint32
+		v   uint64
+	}{{1, MiscFeatureControl, DisableAll}, {0, L3MaskBase + 1, 0x3}, {0, PQRAssoc, PQRValue(0, 1)}} {
+		if err := src.Write(w.cpu, w.reg, w.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := NewEmulated(2, 4)
+	for _, w := range []struct {
+		cpu int
+		reg uint32
+		v   uint64
+	}{{0, L3MaskBase + 1, 0x3}, {1, MBAThrottleBase, 40}, {1, 0x20, 7}} {
+		if err := dst.Write(w.cpu, w.reg, w.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var heard []string
+	dst.AddWatcher(WatcherFunc(func(cpu int, reg uint32, v uint64) {
+		heard = append(heard, fmt.Sprintf("%d:%#x=%#x", cpu, reg, v))
+	}))
+	dst.LoadImage(src.Image(nil))
+	if got, want := dst.Image(nil), src.Image(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded image %#x, want %#x", got, want)
+	}
+	if _, err := dst.Read(1, 0x20); err == nil {
+		t.Error("a register the image lacks survived the load")
+	}
+	want := []string{
+		fmt.Sprintf("0:%#x=%#x", PQRAssoc, PQRValue(0, 1)),
+		fmt.Sprintf("1:%#x=%#x", MiscFeatureControl, DisableAll),
+		fmt.Sprintf("1:%#x=0x0", MBAThrottleBase),
+	}
+	if !reflect.DeepEqual(heard, want) {
+		t.Errorf("watchers heard %v, want %v", heard, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cmm/internal/cache"
+	"cmm/internal/mem"
 	"cmm/internal/msr"
 	"cmm/internal/pmu"
 	"cmm/internal/prefetch"
@@ -160,6 +161,8 @@ type machineState struct {
 	Util      []float64
 	Latency   []int
 	MSR       [][]uint64
+	Hot       []coreHot         // derived fill masks
+	Mem       []*mem.Controller // throttles, shares and windows included
 }
 
 func stateOf(s *System) machineState {
@@ -190,7 +193,11 @@ func stateOf(s *System) machineState {
 		st.NodeBytes = append(st.NodeBytes, s.NodeBytes(nd))
 		st.Util = append(st.Util, s.MemoryNode(nd).Utilization())
 		st.Latency = append(st.Latency, s.MemoryNode(nd).LoadedLatency())
+		mc := mem.NewController(s.NumCores(), s.MemoryNode(nd).Config())
+		mc.CopyFrom(s.MemoryNode(nd))
+		st.Mem = append(st.Mem, mc)
 	}
+	st.Hot = append([]coreHot(nil), s.hot...)
 	return st
 }
 
@@ -337,5 +344,112 @@ func TestCopyFromRejectsOtherShapes(t *testing.T) {
 	numa := cloneMachine(t, NUMAConfig(2), 1)
 	if err := numa.CopyFrom(eight); err == nil {
 		t.Error("copy across configs accepted")
+	}
+}
+
+// historyRegs lists every control register a policy programs.
+func historyRegs(s *System) []uint32 {
+	regs := []uint32{msr.MiscFeatureControl, msr.PQRAssoc}
+	for clos := 0; clos < s.Config().CAT.NumCLOS; clos++ {
+		regs = append(regs, msr.L3MaskBase+uint32(clos), msr.MBAThrottleBase+uint32(clos))
+	}
+	return regs
+}
+
+// strayCLOS moves core 5, which programKnobs put in the MBA-throttled
+// CLOS 1, to a CLOS the part does not have: its fill mask falls back to
+// the full mask and its throttle keeps the value last derived for it.
+func strayCLOS(t *testing.T, s *System) {
+	t.Helper()
+	if err := s.Bank().Write(5, msr.PQRAssoc, msr.PQRValue(0, s.Config().CAT.NumCLOS+2)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHistoryKeyRewriteIsNoChange pins why the experiment engine may key
+// a machine's future by its MSR image and cycle count alone: a machine
+// that rewrote every control register to the value it already held
+// (which marks its CAT state for re-derivation) runs on exactly like an
+// untouched one, with and without a core whose PQR names an out-of-range
+// CLOS.
+func TestHistoryKeyRewriteIsNoChange(t *testing.T) {
+	const n, m = 300_000, 200_000
+	for _, tc := range cloneConfigs {
+		for _, stray := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stray=%v", tc.name, stray), func(t *testing.T) {
+				untouched := cloneMachine(t, tc.cfg, 3)
+				rewritten := cloneMachine(t, tc.cfg, 3)
+				for _, s := range []*System{untouched, rewritten} {
+					s.Run(n)
+					program(t, s, false)
+					if stray {
+						strayCLOS(t, s)
+						s.Run(m)
+					}
+				}
+				for cpu := 0; cpu < rewritten.NumCores(); cpu++ {
+					for _, reg := range historyRegs(rewritten) {
+						v, err := rewritten.Bank().Read(cpu, reg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := rewritten.Bank().Write(cpu, reg, v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !rewritten.masksDirty {
+					t.Fatal("rewriting the CAT registers left no refresh pending")
+				}
+				untouched.Run(m)
+				rewritten.Run(m)
+				sameState(t, "rewritten registers", stateOf(rewritten), stateOf(untouched))
+			})
+		}
+	}
+}
+
+// TestHistoryKeyLoadImageMatchesWrites: loading a bank image
+// (msr.Emulated.LoadImage) and running is running after the writes that
+// produced the image, including writes that return registers to their
+// reset values and a core moved to an out-of-range CLOS.
+func TestHistoryKeyLoadImageMatchesWrites(t *testing.T) {
+	const n, m = 300_000, 200_000
+	for _, tc := range cloneConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			written := cloneMachine(t, tc.cfg, 4)
+			loaded := cloneMachine(t, tc.cfg, 4)
+			for _, s := range []*System{written, loaded} {
+				s.Run(n)
+				program(t, s, false)
+			}
+			// Undo part of programKnobs and program something new.
+			a := written.CAT()
+			if err := a.Assign(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			mask, err := written.Config().CAT.Mask(4, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.SetMask(2, mask); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Assign(6, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := written.Bank().Write(2, msr.MiscFeatureControl, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := written.Bank().Write(3, msr.MiscFeatureControl, msr.DisableL1IP); err != nil {
+				t.Fatal(err)
+			}
+			strayCLOS(t, written)
+
+			loaded.Bank().LoadImage(written.Bank().Image(nil))
+			written.Run(m)
+			loaded.Run(m)
+			sameState(t, "loaded image", stateOf(loaded), stateOf(written))
+		})
 	}
 }
