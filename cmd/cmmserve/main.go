@@ -78,7 +78,7 @@ func main() {
 		leaseTTL       = flag.Duration("lease-ttl", 15*time.Second, "job lease time-to-live; a worker silent for this long loses its jobs to peers")
 		maxAttempts    = flag.Int("max-attempts", 3, "executions a job gets before it is quarantined as failed")
 		attemptTimeout = flag.Duration("attempt-timeout", 0, "per-attempt execution timeout, retried with backoff (0 = none)")
-		scanEvery      = flag.Duration("scan", 0, "shared-store scan interval for adopting jobs and reaping dead workers (0 = lease-ttl/3)")
+		scanEvery      = flag.Duration("scan", 0, "shared-store scan interval for picking up queued jobs, reaping dead workers and counting jobs (0 = lease-ttl/3)")
 
 		modelDir    = flag.String("model-dir", "", "CMM-L model registry directory; enables the CMM-L policy with hot reload on promotion (GET /v1/model, POST /v1/model/rollback)")
 		modelPoll   = flag.Duration("model-poll", 10*time.Second, "registry pointer poll interval for hot reload (SIGHUP forces an immediate check)")

@@ -13,6 +13,8 @@
 package faultinject
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,8 +31,9 @@ type FS interface {
 	// atomic; callers wanting atomicity write a temp name and Rename.
 	WriteFile(name string, data []byte, perm fs.FileMode) error
 	// CreateExclusive atomically creates name with data, failing with an
-	// fs.ErrExist-matching error when the file already exists. This is the
-	// primitive lease claims are built on.
+	// fs.ErrExist-matching error when the file already exists. Readers see
+	// the whole file or none. This is the primitive lease claims are built
+	// on.
 	CreateExclusive(name string, data []byte, perm fs.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -53,21 +56,18 @@ func (OS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
 
+// CreateExclusive writes data to a temp file and hard-links it to name,
+// which fails when name exists. Unlike an O_EXCL create, which shows
+// concurrent readers an empty file until the write lands, the link
+// publishes the complete file in one step.
 func (OS) CreateExclusive(name string, data []byte, perm fs.FileMode) error {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
-	if err != nil {
-		return err
+	tmp := tempName(name)
+	err := os.WriteFile(tmp, data, perm)
+	if err == nil {
+		err = os.Link(tmp, name)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
+	os.Remove(tmp)
+	return err
 }
 
 func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
@@ -77,6 +77,29 @@ func (OS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)
 }
 func (OS) WalkDir(root string, fn fs.WalkDirFunc) error { return filepath.WalkDir(root, fn) }
+
+// WriteFileAtomic writes data to name through a uniquely named temp file
+// beside it and a rename, so readers see the old contents or the new,
+// never a torn file, and concurrent writers never share a temp file. The
+// temp file is removed when either step fails.
+func WriteFileAtomic(fsys FS, name string, data []byte, perm fs.FileMode) error {
+	tmp := tempName(name)
+	err := fsys.WriteFile(tmp, data, perm)
+	if err == nil {
+		err = fsys.Rename(tmp, name)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
+// tempName returns a unique temp file name beside name.
+func tempName(name string) string {
+	var b [6]byte
+	rand.Read(b[:]) // never fails (crypto/rand panics instead)
+	return name + ".tmp" + hex.EncodeToString(b[:])
+}
 
 // RealClock is the production Clock.
 type RealClock struct{}

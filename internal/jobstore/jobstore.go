@@ -22,6 +22,13 @@
 //	            leaseholder observes it on its next heartbeat and aborts,
 //	            and Claim refuses flagged queued records
 //
+// A record is all the state a job has: servers answer every status,
+// listing and result question from it. Besides the request, state and
+// attempt history it carries the result's content address (ResultHash,
+// set at Enqueue), when the latest execution started (StartedAt, set by
+// MarkRunning) and how far it got (Progress); a terminal record's
+// UpdatedAt is when the job finished.
+//
 // Record updates are temp-file+rename so readers never observe a torn
 // record; the lease claim is an exclusive create, and expired-lease
 // takeover renames the stale lease aside so exactly one reaper wins.
@@ -92,9 +99,24 @@ type Record struct {
 	Worker string `json:"worker,omitempty"`
 	// Errors accumulates one entry per failed attempt — the quarantine
 	// post-mortem.
-	Errors    []AttemptError `json:"errors,omitempty"`
-	CreatedAt time.Time      `json:"created_at"`
-	UpdatedAt time.Time      `json:"updated_at"`
+	Errors []AttemptError `json:"errors,omitempty"`
+	// ResultHash is the content address the job's result is served under,
+	// known from submission.
+	ResultHash string `json:"result_hash,omitempty"`
+	// Progress is how far the last execution got, written with the
+	// transition that ended it.
+	Progress  Progress  `json:"progress"`
+	CreatedAt time.Time `json:"created_at"`
+	// StartedAt is when the latest execution started (MarkRunning).
+	StartedAt time.Time `json:"started_at,omitempty"`
+	// UpdatedAt is the last write; for a terminal record, when it finished.
+	UpdatedAt time.Time `json:"updated_at"`
+}
+
+// Progress counts an execution's runs: finished of planned.
+type Progress struct {
+	Done  int64 `json:"done"`
+	Total int64 `json:"total"`
 }
 
 // LastError returns the most recent attempt error, or "".
@@ -228,29 +250,23 @@ func (s *Store) leasePath(id string) string  { return filepath.Join(s.dir, id+".
 func (s *Store) resultPath(id string) string { return filepath.Join(s.dir, id+".result") }
 func (s *Store) cancelPath(id string) string { return filepath.Join(s.dir, id+".cancel") }
 
-// writeRecord persists rec atomically (temp file + rename).
+// writeRecord persists rec atomically (faultinject.WriteFileAtomic).
 func (s *Store) writeRecord(rec *Record) error {
 	rec.UpdatedAt = s.clock.Now()
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("jobstore: encode record: %w", err)
 	}
-	p := s.recordPath(rec.ID)
-	tmp := p + ".tmp" + fmt.Sprintf("%08x", mrand.Uint32())
-	if err := s.fsys.WriteFile(tmp, data, 0o644); err != nil {
-		s.fsys.Remove(tmp)
+	if err := faultinject.WriteFileAtomic(s.fsys, s.recordPath(rec.ID), data, 0o644); err != nil {
 		return fmt.Errorf("jobstore: write record: %w", err)
-	}
-	if err := s.fsys.Rename(tmp, p); err != nil {
-		s.fsys.Remove(tmp)
-		return fmt.Errorf("jobstore: commit record: %w", err)
 	}
 	return nil
 }
 
 // Enqueue persists a new queued record for id. The request payload is
-// the submission's wire JSON so any worker can rebuild the job.
-func (s *Store) Enqueue(id string, request []byte, maxAttempts int) (*Record, error) {
+// the submission's wire JSON so any worker can rebuild the job; the
+// optional resultHash becomes the record's ResultHash.
+func (s *Store) Enqueue(id string, request []byte, maxAttempts int, resultHash ...string) (*Record, error) {
 	if maxAttempts <= 0 {
 		maxAttempts = 1
 	}
@@ -260,6 +276,9 @@ func (s *Store) Enqueue(id string, request []byte, maxAttempts int) (*Record, er
 		State:       StateQueued,
 		MaxAttempts: maxAttempts,
 		CreatedAt:   s.clock.Now(),
+	}
+	if len(resultHash) > 0 {
+		rec.ResultHash = resultHash[0]
 	}
 	if err := s.writeRecord(rec); err != nil {
 		return nil, err
@@ -413,14 +432,7 @@ func (l *Lease) Renew() error {
 	now := s.clock.Now()
 	lf.Deadline = now.Add(s.ttl)
 	payload, _ := json.Marshal(lf)
-	lp := s.leasePath(l.JobID)
-	tmp := lp + ".renew" + fmt.Sprintf(".%08x", mrand.Uint32())
-	if err := s.fsys.WriteFile(tmp, payload, 0o644); err != nil {
-		s.fsys.Remove(tmp)
-		return fmt.Errorf("jobstore: renew %s: %w", l.JobID, err)
-	}
-	if err := s.fsys.Rename(tmp, lp); err != nil {
-		s.fsys.Remove(tmp)
+	if err := faultinject.WriteFileAtomic(s.fsys, s.leasePath(l.JobID), payload, 0o644); err != nil {
 		return fmt.Errorf("jobstore: renew %s: %w", l.JobID, err)
 	}
 	l.Deadline = lf.Deadline
@@ -448,7 +460,7 @@ func (l *Lease) Release() error {
 }
 
 // MarkRunning transitions the claimed record to running, charging one
-// attempt. Call immediately after Claim.
+// attempt and stamping StartedAt. Call immediately after Claim.
 func (s *Store) MarkRunning(l *Lease, rec *Record) error {
 	if err := l.verify(); err != nil {
 		return err
@@ -456,6 +468,7 @@ func (s *Store) MarkRunning(l *Lease, rec *Record) error {
 	rec.State = StateRunning
 	rec.Attempt++
 	rec.Worker = s.worker
+	rec.StartedAt = s.clock.Now()
 	return s.writeRecord(rec)
 }
 
@@ -574,14 +587,7 @@ func (s *Store) RequestCancel(id, reason string) error {
 		return nil // already terminal
 	}
 	payload, _ := json.Marshal(cancelFlag{Worker: s.worker, Time: s.clock.Now(), Reason: reason})
-	cp := s.cancelPath(id)
-	tmp := cp + ".tmp" + fmt.Sprintf("%08x", mrand.Uint32())
-	if err := s.fsys.WriteFile(tmp, payload, 0o644); err != nil {
-		s.fsys.Remove(tmp)
-		return fmt.Errorf("jobstore: request cancel %s: %w", id, err)
-	}
-	if err := s.fsys.Rename(tmp, cp); err != nil {
-		s.fsys.Remove(tmp)
+	if err := faultinject.WriteFileAtomic(s.fsys, s.cancelPath(id), payload, 0o644); err != nil {
 		return fmt.Errorf("jobstore: request cancel %s: %w", id, err)
 	}
 	if rec.State == StateQueued {

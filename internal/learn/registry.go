@@ -52,8 +52,9 @@ type Rejection struct {
 // bytes are kept for inspection without being retried forever.
 //
 // The registry is safe for concurrent use within a process; across
-// processes the atomic renames make concurrent read/promote safe (two
-// concurrent promoters race benignly — last rename wins).
+// processes (or handles) every write has its own temp file, so concurrent
+// read/promote is safe: two concurrent promoters race benignly — the last
+// rename wins, and each file is one writer's complete bytes.
 type Registry struct {
 	dir   string
 	fsys  faultinject.FS
@@ -112,16 +113,6 @@ func (r *Registry) modelPath(fp string) string {
 func (r *Registry) currentPath() string { return filepath.Join(r.dir, "current") }
 func (r *Registry) historyPath() string { return filepath.Join(r.dir, "history.json") }
 
-// writeAtomic writes data to path via tmp+rename so readers never see a
-// partial file under the final name.
-func (r *Registry) writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := r.fsys.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return r.fsys.Rename(tmp, path)
-}
-
 // Promote validates m, persists its envelope, appends to the promotion
 // history, flips the current pointer, and prunes old models past the
 // retention limit. Returns the promoted fingerprint.
@@ -137,7 +128,7 @@ func (r *Registry) Promote(m *Model, note string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("learn: promote: marshal: %w", err)
 	}
-	if err := r.writeAtomic(r.modelPath(fp), append(b, '\n')); err != nil {
+	if err := faultinject.WriteFileAtomic(r.fsys, r.modelPath(fp), append(b, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("learn: promote %s: %w", fp, err)
 	}
 
@@ -152,7 +143,7 @@ func (r *Registry) Promote(m *Model, note string) (string, error) {
 
 	// The pointer flip is last: a crash before this line leaves the old
 	// model serving with the new envelope already durable.
-	if err := r.writeAtomic(r.currentPath(), []byte(fp+"\n")); err != nil {
+	if err := faultinject.WriteFileAtomic(r.fsys, r.currentPath(), []byte(fp+"\n"), 0o644); err != nil {
 		return "", fmt.Errorf("learn: promote %s: flip current: %w", fp, err)
 	}
 	r.prune(hist)
@@ -245,7 +236,7 @@ func (r *Registry) writeHistory(hist []Promotion) error {
 	if err != nil {
 		return fmt.Errorf("learn: marshal history: %w", err)
 	}
-	if err := r.writeAtomic(r.historyPath(), append(b, '\n')); err != nil {
+	if err := faultinject.WriteFileAtomic(r.fsys, r.historyPath(), append(b, '\n'), 0o644); err != nil {
 		return fmt.Errorf("learn: write history: %w", err)
 	}
 	return nil
@@ -274,7 +265,7 @@ func (r *Registry) Rollback() (string, error) {
 		if _, err := r.Load(target); err != nil {
 			continue
 		}
-		if err := r.writeAtomic(r.currentPath(), []byte(target+"\n")); err != nil {
+		if err := faultinject.WriteFileAtomic(r.fsys, r.currentPath(), []byte(target+"\n"), 0o644); err != nil {
 			return "", fmt.Errorf("learn: rollback to %s: %w", target, err)
 		}
 		if err := r.writeHistory(hist[:cut]); err != nil {
@@ -297,7 +288,7 @@ func (r *Registry) Archive(m *Model, reason string) (string, error) {
 		return "", fmt.Errorf("learn: archive: marshal: %w", err)
 	}
 	dir := filepath.Join(r.dir, "rejected")
-	if err := r.writeAtomic(filepath.Join(dir, fp+".json"), append(b, '\n')); err != nil {
+	if err := faultinject.WriteFileAtomic(r.fsys, filepath.Join(dir, fp+".json"), append(b, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("learn: archive %s: %w", fp, err)
 	}
 	rej := Rejection{Fingerprint: fp, Reason: reason, ArchivedAt: r.clock.Now().UTC()}
@@ -305,7 +296,7 @@ func (r *Registry) Archive(m *Model, reason string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("learn: archive: marshal reason: %w", err)
 	}
-	if err := r.writeAtomic(filepath.Join(dir, fp+".reason"), append(rb, '\n')); err != nil {
+	if err := faultinject.WriteFileAtomic(r.fsys, filepath.Join(dir, fp+".reason"), append(rb, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("learn: archive %s reason: %w", fp, err)
 	}
 	return fp, nil

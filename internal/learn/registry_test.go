@@ -210,6 +210,39 @@ func TestRegistryRetentionPrunes(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentHandlesPromote pins that two registry handles on
+// one directory may promote concurrently: every Promote succeeds and the
+// history always parses, because no two writes share a temp file.
+func TestRegistryConcurrentHandlesPromote(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "models")
+	var regs [2]*Registry
+	for i := range regs {
+		reg, err := OpenRegistry(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i] = reg
+	}
+	ms := trainN(t, 8)
+	for round := range 40 {
+		errs := make(chan error, len(ms))
+		for i, m := range ms {
+			go func() {
+				_, err := regs[i%2].Promote(m, "")
+				errs <- err
+			}()
+		}
+		for range ms {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: promote: %v", round, err)
+			}
+		}
+		if _, err := regs[round%2].History(); err != nil {
+			t.Fatalf("round %d: history: %v", round, err)
+		}
+	}
+}
+
 func TestRegistryArchive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "models")
 	reg, err := OpenRegistry(dir)

@@ -3,8 +3,6 @@ package runstore
 import (
 	"container/list"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -439,9 +437,8 @@ func (s *Store) diskGet(key string) ([]byte, bool) {
 	return data, true
 }
 
-// diskPut persists atomically: write a temp file in the target directory,
-// then rename over the final path, so readers only ever observe complete
-// entries.
+// diskPut persists atomically (faultinject.WriteFileAtomic), so readers
+// only ever observe complete entries.
 func (s *Store) diskPut(key string, val []byte) error {
 	if s.dir == "" {
 		return nil
@@ -455,31 +452,13 @@ func (s *Store) diskPut(key string, val []byte) error {
 		s.brk.failure(s.clock.Now())
 		return fmt.Errorf("runstore: %w", err)
 	}
-	tmp := filepath.Join(filepath.Dir(p), "."+key+".tmp"+randSuffix())
-	if err := s.fsys.WriteFile(tmp, val, 0o644); err != nil {
-		s.fsys.Remove(tmp)
-		s.errs.Add(1)
-		s.brk.failure(s.clock.Now())
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := s.fsys.Rename(tmp, p); err != nil {
-		s.fsys.Remove(tmp)
+	if err := faultinject.WriteFileAtomic(s.fsys, p, val, 0o644); err != nil {
 		s.errs.Add(1)
 		s.brk.failure(s.clock.Now())
 		return fmt.Errorf("runstore: %w", err)
 	}
 	s.brk.success()
 	return nil
-}
-
-// randSuffix makes concurrent temp-file writers collision-free without
-// os.CreateTemp (whose *os.File handle the FS seam doesn't model).
-func randSuffix() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("%d", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // Stats returns a snapshot of the store's counters.

@@ -486,10 +486,10 @@ func TestChaosCrossNodeCancel(t *testing.T) {
 		t.Errorf("terminal state written by %q, want the leaseholder w-a", got.Worker)
 	}
 
-	// B's mirror converges to the same terminal state via its scanner.
+	// B answers the same terminal state from the record.
 	bGot := awaitState(t, tsB, st.ID, StateCanceled)
 	if !strings.Contains(bGot.Error, "cancelled by client") {
-		t.Errorf("peer mirror error = %q", bGot.Error)
+		t.Errorf("peer status error = %q", bGot.Error)
 	}
 
 	// Durably canceled, lease released, flag consumed, never claimable.
@@ -539,8 +539,7 @@ func TestStaleScanAfterCompletionKeepsResult(t *testing.T) {
 	<-started
 	b := postJob(t, ts, `{"preset":"tiny","policies":["PT"],"seeds":[2]}`)
 
-	// The first half of a scanner pass: stamp, then list. B is queued.
-	listed := s.transitions.Add(1)
+	// The first half of a scanner pass: list. B is queued.
 	recs, err := s.cfg.Jobs.List()
 	if err != nil {
 		t.Fatal(err)
@@ -572,10 +571,13 @@ func TestStaleScanAfterCompletionKeepsResult(t *testing.T) {
 	}
 
 	// The second half, applied after both jobs finished.
-	s.applyRecords(recs, listed)
+	s.scanRecords(recs)
 
 	code, after := result()
 	if code != http.StatusOK || string(after) != string(before) {
 		t.Fatalf("result after the stale pass: status %d, body %q; want 200 and %q", code, after, before)
+	}
+	if st := getStatus(t, ts, b.ID); st.State != StateDone {
+		t.Fatalf("status after the stale pass = %q, want done", st.State)
 	}
 }

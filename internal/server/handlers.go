@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"time"
 
+	"cmm/internal/jobstore"
 	"cmm/internal/learn"
 )
 
@@ -109,14 +108,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The 202 reports the job as admitted: a worker may claim it the
-	// moment it is queued, so the status is taken before it can.
-	st := j.status()
-	if err := s.enqueueJob(j, body); err != nil {
+	// The 202 reports the record as admitted, before any worker claims it.
+	rec, err := s.enqueueJob(j, body)
+	if err != nil {
 		httpUnavailable(w, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	writeJSON(w, http.StatusAccepted, status(rec))
 }
 
 // readBody slurps a bounded request body (the durable store persists the
@@ -128,101 +126,71 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	all := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		all = append(all, j)
+	recs, err := s.cfg.Jobs.List()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	s.mu.Unlock()
-	sort.Slice(all, func(i, k int) bool { return all[i].seq > all[k].seq })
-	out := make([]jobStatus, len(all))
-	for i, j := range all {
-		out[i] = j.status()
+	out := make([]jobStatus, len(recs))
+	for i, rec := range recs {
+		out[len(recs)-1-i] = status(rec) // List is oldest first
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
-// jobFor resolves the {id} path component, writing 404 on a miss. It also
-// adopts records created by other workers, so any cluster member can
-// answer for any job.
-func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		listed := s.transitions.Add(1)
-		if rec, err := s.cfg.Jobs.Get(id); err == nil {
-			if nj, err := s.buildJobFromRecord(rec); err == nil {
-				s.mu.Lock()
-				if exist := s.jobs[id]; exist != nil {
-					j = exist
-				} else {
-					s.jobs[id] = nj
-					j = nj
-				}
-				s.mu.Unlock()
-				syncFromRecord(j, rec, listed)
-			}
+// record loads job id's durable record, writing 404 on a miss.
+func (s *Server) record(w http.ResponseWriter, id string) (*jobstore.Record, bool) {
+	rec, err := s.cfg.Jobs.Get(id)
+	if err != nil {
+		httpError(w, http.StatusNotFound, "no job %q", id)
+		return nil, false
+	}
+	return rec, true
+}
+
+// writeStatus answers for job id: a job running here from its run's own
+// record plus the progress counters, any other from its durable record.
+func (s *Server) writeStatus(w http.ResponseWriter, id string) {
+	if j := s.localJob(id); j != nil {
+		j.mu.Lock()
+		run := j.running
+		j.mu.Unlock()
+		if run != nil {
+			st := *run
+			st.Progress = jobstore.Progress{Done: j.done.Load(), Total: j.total.Load()}
+			writeJSON(w, http.StatusOK, st)
+			return
 		}
 	}
-	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+	if rec, ok := s.record(w, id); ok {
+		writeJSON(w, http.StatusOK, status(rec))
 	}
-	return j
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
-		return
-	}
-	// Refresh the mirror for jobs another worker is driving.
-	j.mu.Lock()
-	local := j.localRun
-	j.mu.Unlock()
-	if !local {
-		listed := s.transitions.Add(1)
-		if rec, err := s.cfg.Jobs.Get(j.id); err == nil {
-			syncFromRecord(j, rec, listed)
-		}
-	}
-	writeJSON(w, http.StatusOK, j.status())
+	s.writeStatus(w, r.PathValue("id"))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
+	rec, ok := s.record(w, r.PathValue("id"))
+	if !ok {
 		return
 	}
-	j.mu.Lock()
-	state, raw := j.state, j.resultRaw
-	j.mu.Unlock()
-
-	// A job finished by another worker has no result bytes in memory;
-	// fetch the durable bytes (and re-check state, which may have
-	// advanced).
-	if raw == nil {
-		if b, err := s.cfg.Jobs.Result(j.id); err == nil {
-			raw = b
-			state = StateDone
-			j.mu.Lock()
-			j.resultRaw = b
-			j.state = StateDone
-			j.mu.Unlock()
+	if rec.State != StateDone {
+		httpError(w, http.StatusConflict, "job %s is %s, result requires done", rec.ID, rec.State)
+		return
+	}
+	raw, ok := s.readResult(rec.ResultHash)
+	if !ok {
+		var err error
+		if raw, err = s.cfg.Jobs.Result(rec.ID); err != nil {
+			httpError(w, http.StatusInternalServerError, "job %s has no result payload", rec.ID)
+			return
 		}
-	}
-	if state != StateDone {
-		httpError(w, http.StatusConflict, "job %s is %s, result requires done", j.id, state)
-		return
-	}
-	if raw == nil {
-		httpError(w, http.StatusInternalServerError, "job %s has no result payload", j.id)
-		return
 	}
 	// The bytes are the canonical rendering the read path also serves, so
 	// both endpoints answer byte-identical payloads.
-	s.serveResultBytes(w, r, j.resultKey, raw)
+	s.serveResultBytes(w, r, rec.ResultHash, raw)
 }
 
 // writeComparisonCSV flattens a comparison to one row per (policy, mix).
@@ -244,42 +212,38 @@ func writeComparisonCSV(w http.ResponseWriter, res ComparisonResult) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
+	rec, ok := s.record(w, r.PathValue("id"))
+	if !ok {
 		return
 	}
-	j.mu.Lock()
-	state := j.state
-	cancel := j.cancel
-	j.mu.Unlock()
-	switch state {
+	switch rec.State {
 	case StateQueued:
-		// Drop it from the local heap right away so it stops occupying
-		// queue capacity and can never be popped.
-		s.queue.remove(j)
 		// Best-effort: if another worker claimed it in this window the
 		// durable cancel is refused and that worker's run proceeds.
-		s.cfg.Jobs.Cancel(j.id, "cancelled by client")
-		j.mu.Lock()
-		if j.state == StateQueued { // still ours to cancel
-			j.state = StateCanceled
-			j.err = "cancelled by client"
-			j.inQueue = false
-			j.finished = time.Now()
+		s.cfg.Jobs.Cancel(rec.ID, "cancelled by client")
+		// Drop it from the local heap right away so it stops occupying
+		// queue capacity. The record is canceled first, so the scanner
+		// cannot push it back.
+		if j := s.localJob(rec.ID); j != nil && s.queue.remove(j) {
+			s.dropLocal(j)
 		}
-		j.mu.Unlock()
 	case StateRunning:
 		// A local run observes its context error and finishes the state
 		// transition itself. For a job running on another worker, the
 		// durable cancel request below is the only lever: the owner's next
 		// heartbeat observes the flag, aborts, and writes the terminal
 		// canceled state under its lease.
-		s.cfg.Jobs.RequestCancel(j.id, "cancelled by client")
-		if cancel != nil {
-			cancel()
+		s.cfg.Jobs.RequestCancel(rec.ID, "cancelled by client")
+		if j := s.localJob(rec.ID); j != nil {
+			j.mu.Lock()
+			cancel := j.cancel
+			j.mu.Unlock()
+			if cancel != nil {
+				cancel()
+			}
 		}
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	s.writeStatus(w, rec.ID)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
@@ -313,16 +277,10 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.cfg.Counters.WriteMetrics(w, "cmm_")
-	states := map[string]int{}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		states[j.state]++
-		j.mu.Unlock()
-	}
-	s.mu.Unlock()
-	for _, st := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		fmt.Fprintf(w, "cmm_jobs{state=%q} %d\n", st, states[st])
+	// Job counts are as of the scanner's last pass.
+	counts := s.counts.Load()
+	for i, st := range jobStates {
+		fmt.Fprintf(w, "cmm_jobs{state=%q} %d\n", st, counts[i])
 	}
 	fmt.Fprintf(w, "cmm_queue_depth %d\n", s.queue.depth())
 	fmt.Fprintf(w, "cmm_readcache_entries %d\n", s.reads.len())

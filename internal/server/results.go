@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cmm/internal/jobstore"
 )
 
 // maxResultWait caps ?wait= on the results endpoints so a stuck compute
@@ -122,40 +124,36 @@ func resultWait(r *http.Request) (time.Duration, error) {
 }
 
 // awaitResult polls the serving tier for key until the bytes appear,
-// the deadline passes, the request is abandoned, or the optional job
-// driving the compute reaches a terminal state without publishing.
-// It reports the bytes (ok) or the job's terminal state ("" while
-// non-terminal).
-func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, j *job) ([]byte, bool, string) {
+// the deadline passes, the request is abandoned, or the optional job id
+// driving the compute ends failed or canceled without publishing. It
+// reports the bytes (ok) or that job's ended record (nil otherwise).
+func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, id string) ([]byte, bool, *jobstore.Record) {
 	deadline := time.Now().Add(wait)
 	t := time.NewTicker(resultPollInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
-			return nil, false, ""
+			return nil, false, nil
 		case <-t.C:
 		}
 		if b, ok := s.readResult(key); ok {
-			return b, true, ""
+			return b, true, nil
 		}
-		if j != nil {
-			j.mu.Lock()
-			state := j.state
-			j.mu.Unlock()
-			if state == StateFailed || state == StateCanceled {
-				return nil, false, state
+		if id != "" {
+			if rec, err := s.cfg.Jobs.Get(id); err == nil && (rec.State == StateFailed || rec.State == StateCanceled) {
+				return nil, false, rec
 			}
 		}
 		if !time.Now().Before(deadline) {
-			return nil, false, ""
+			return nil, false, nil
 		}
 	}
 }
 
-// lookupJobFor returns the live compute-on-miss job for a result hash,
-// if any.
-func (s *Server) lookupJobFor(key string) *job {
+// lookupJobFor returns the compute-on-miss job id for a result hash, or
+// "".
+func (s *Server) lookupJobFor(key string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lookups[key]
@@ -185,19 +183,21 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Counters.ReadMiss()
 	if wait > 0 {
-		b, ok, terminal := s.awaitResult(r, hash, wait, s.lookupJobFor(hash))
+		b, ok, ended := s.awaitResult(r, hash, wait, s.lookupJobFor(hash))
 		if ok {
 			s.serveResultBytes(w, r, hash, b)
 			return
 		}
-		if terminal != "" {
-			httpError(w, http.StatusBadGateway, "compute for result %s ended %s without publishing", hash, terminal)
+		if ended != nil {
+			httpError(w, http.StatusBadGateway, "compute for result %s ended %s without publishing", hash, ended.State)
 			return
 		}
 	}
-	if j := s.lookupJobFor(hash); j != nil {
-		writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": hash, "job": j.status()})
-		return
+	if id := s.lookupJobFor(hash); id != "" {
+		if rec, err := s.cfg.Jobs.Get(id); err == nil {
+			writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": hash, "job": status(rec)})
+			return
+		}
 	}
 	httpError(w, http.StatusNotFound,
 		"no result %s; POST the config to /v1/results/lookup to compute it", hash)
@@ -242,55 +242,48 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		httpUnavailable(w, "server shutting down; result %s is not cached and compute is refused while draining", key)
 		return
 	}
-	lj, err := s.ensureLookupJob(j, body)
+	rec, err := s.ensureLookupJob(j, body)
 	if err != nil {
 		httpUnavailable(w, "%v", err)
 		return
 	}
 	if wait > 0 {
-		b, ok, terminal := s.awaitResult(r, key, wait, lj)
+		b, ok, ended := s.awaitResult(r, key, wait, rec.ID)
 		if ok {
 			s.serveResultBytes(w, r, key, b)
 			return
 		}
-		if terminal != "" {
-			httpError(w, http.StatusBadGateway, "compute for result %s ended %s: %s", key, terminal, lj.status().Error)
+		if ended != nil {
+			httpError(w, http.StatusBadGateway, "compute for result %s ended %s: %s", key, ended.State, ended.LastError())
 			return
 		}
+		if fresh, err := s.cfg.Jobs.Get(rec.ID); err == nil {
+			rec = fresh
+		}
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": key, "job": lj.status()})
+	writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": key, "job": status(rec)})
 }
 
 // ensureLookupJob is the compute-on-miss singleflight: at most one live
-// job per result hash. If a queued or running job already covers the
-// hash it is shared; otherwise j is registered and enqueued. Stale
-// entries (terminal jobs that raced their clearLookup) are replaced
-// lazily.
-func (s *Server) ensureLookupJob(j *job, rawReq []byte) (*job, error) {
-	key := j.resultKey
-	s.mu.Lock()
-	if exist := s.lookups[key]; exist != nil {
-		exist.mu.Lock()
-		state := exist.state
-		exist.mu.Unlock()
-		if state == StateQueued || state == StateRunning {
-			s.mu.Unlock()
-			return exist, nil
+// job per result hash. If the record of the job already covering the hash
+// is queued or running it is shared; otherwise j is enqueued. It returns
+// the record of the job the caller should follow.
+func (s *Server) ensureLookupJob(j *job, rawReq []byte) (*jobstore.Record, error) {
+	s.lookupMu.Lock()
+	defer s.lookupMu.Unlock()
+	if id := s.lookupJobFor(j.resultKey); id != "" {
+		if rec, err := s.cfg.Jobs.Get(id); err == nil && (rec.State == StateQueued || rec.State == StateRunning) {
+			return rec, nil
 		}
-		delete(s.lookups, key)
 	}
-	s.lookups[key] = j
+	// The entry goes in before the job can finish and clear it.
+	s.mu.Lock()
+	s.lookups[j.resultKey] = j.id
 	s.mu.Unlock()
-	if err := s.enqueueJob(j, rawReq); err != nil {
-		// Mark the orphan terminal so any request already sharing it fails
-		// fast instead of polling to its deadline.
-		j.mu.Lock()
-		j.state = StateFailed
-		j.err = err.Error()
-		j.finished = time.Now()
-		j.mu.Unlock()
+	rec, err := s.enqueueJob(j, rawReq)
+	if err != nil {
 		s.clearLookup(j)
 		return nil, err
 	}
-	return j, nil
+	return rec, nil
 }

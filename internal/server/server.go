@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,7 +72,7 @@ type Config struct {
 	ReadCacheEntries int
 
 	// execute substitutes the job execution function. Tests install stubs
-	// here so the stub is in place before the scanner can adopt durable
+	// here so the stub is in place before the scanner can push durable
 	// jobs; nil means the real experiment engine.
 	execute func(ctx context.Context, j *job) (any, error)
 }
@@ -121,7 +122,12 @@ const (
 	StateCanceled = "canceled"
 )
 
-// job is one submitted experiment and its lifecycle.
+// jobStates orders the cmm_jobs gauge lines.
+var jobStates = [...]string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
+
+// job is one experiment this process has queued in its heap or is
+// running; every other question about a job is answered from its durable
+// record.
 type job struct {
 	id       string
 	kind     string
@@ -139,28 +145,11 @@ type job struct {
 	// buildJob. The serving tier publishes finished results under it.
 	resultKey string
 
-	mu        sync.Mutex
-	state     string
-	err       string
-	attempt   int
-	history   []string // one line per failed attempt
-	inQueue   bool     // sitting in the local priority heap
-	localRun  bool     // this process is executing it right now
-	leaseLost bool     // our lease was reaped mid-run; another worker owns it
-	// cancelReason is set when the heartbeat observes a durable cancel
-	// request (cross-node DELETE); finishCanceled records it instead of
-	// the bare context error.
-	cancelReason string
-	worker       string // last worker seen running it (cluster mirror)
-	cancel       context.CancelFunc
-	resultRaw    []byte // canonical result bytes, as written to the durable store
-	created      time.Time
-	started      time.Time
-	finished     time.Time
-
-	// settled stamps the job's last local transition out of a local run
-	// (Server.transitions); durable records listed before it are stale.
-	settled uint64
+	mu sync.Mutex
+	// running is this process's run of the job, rendered from the run's
+	// record once it is marked running; nil before that.
+	running *jobStatus
+	cancel  context.CancelFunc
 }
 
 // Server runs the job queue, the worker pool, and the HTTP API.
@@ -169,15 +158,23 @@ type Server struct {
 	queue *jobQueue
 	seq   atomic.Uint64
 
-	mu       sync.Mutex
-	jobs     map[string]*job
+	mu sync.Mutex
+	// local holds the jobs in this process's heap or running here, so it
+	// never exceeds QueueDepth + Workers entries.
+	local    map[string]*job
 	draining bool
-	// lookups deduplicates compute-on-miss: at most one live job per
-	// result hash is enqueued by POST /v1/results/lookup, and concurrent
-	// lookups for the same config share it (the HTTP-level singleflight
-	// over the store's own). Entries are cleared on terminal transitions
-	// and lazily replaced when a stale one is found.
-	lookups map[string]*job
+	// lookups deduplicates compute-on-miss: it maps a result hash to the
+	// job POST /v1/results/lookup enqueued for it, and concurrent lookups
+	// for the same config share that job while its record is live (the
+	// HTTP-level singleflight over the store's own). Entries are cleared
+	// on terminal transitions here and replaced when found ended.
+	lookups map[string]string
+	// lookupMu serializes compute-on-miss admission (ensureLookupJob).
+	lookupMu sync.Mutex
+
+	// counts is the per-state job count (jobStates order) the scanner's
+	// last pass saw; /metrics reports it without walking any jobs.
+	counts atomic.Pointer[[len(jobStates)]int]
 
 	// reads is the serving tier's byte-cache front over cfg.Store.
 	reads *readCache
@@ -190,12 +187,6 @@ type Server struct {
 	scanDone chan struct{}
 	scanOnce sync.Once
 
-	// transitions orders local job transitions against durable listings:
-	// a scanner pass stamps itself before it lists the records, and
-	// endRunLocked stamps each local transition, so a record read before
-	// a job's last local transition is recognisably stale.
-	transitions atomic.Uint64
-
 	// dead simulates a SIGKILL for chaos tests: heartbeats stop, durable
 	// state is never written, leases are left to expire.
 	dead atomic.Bool
@@ -206,19 +197,20 @@ type Server struct {
 }
 
 // New builds a Server and starts its worker pool and the scanner that
-// adopts requeued work and reaps expired leases. It panics when cfg lacks
+// picks up queued work and reaps expired leases. It panics when cfg lacks
 // its Store or Jobs.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		queue:    newJobQueue(cfg.QueueDepth),
-		jobs:     map[string]*job{},
-		lookups:  map[string]*job{},
+		local:    map[string]*job{},
+		lookups:  map[string]string{},
 		reads:    newReadCache(cfg.ReadCacheEntries),
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
 	}
+	s.counts.Store(new([len(jobStates)]int))
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.execute = s.executeJob
 	if cfg.execute != nil {
@@ -275,14 +267,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 	s.stopScanner()
 	for _, j := range s.queue.close() {
-		j.mu.Lock()
-		j.inQueue = false
-		if j.state == StateQueued {
-			// The durable record stays queued; only the local mirror notes
-			// why this process dropped it.
-			j.err = "server shutting down; job remains queued for other workers"
-		}
-		j.mu.Unlock()
+		s.dropLocal(j) // its record stays queued
 	}
 	waited := make(chan struct{})
 	go func() { s.wg.Wait(); close(waited) }()
@@ -311,19 +296,16 @@ type jobRequest struct {
 
 // jobStatus is the wire form of a job's state.
 type jobStatus struct {
-	ID       string `json:"id"`
-	Kind     string `json:"kind"`
-	Preset   string `json:"preset"`
-	State    string `json:"state"`
-	Priority int    `json:"priority"`
-	Progress struct {
-		Done  int64 `json:"done"`
-		Total int64 `json:"total"`
-	} `json:"progress"`
-	Error    string   `json:"error,omitempty"`
-	Attempt  int      `json:"attempt,omitempty"`
-	Attempts []string `json:"attempt_errors,omitempty"`
-	Worker   string   `json:"worker,omitempty"`
+	ID       string            `json:"id"`
+	Kind     string            `json:"kind"`
+	Preset   string            `json:"preset"`
+	State    string            `json:"state"`
+	Priority int               `json:"priority"`
+	Progress jobstore.Progress `json:"progress"`
+	Error    string            `json:"error,omitempty"`
+	Attempt  int               `json:"attempt,omitempty"`
+	Attempts []string          `json:"attempt_errors,omitempty"`
+	Worker   string            `json:"worker,omitempty"`
 	// ResultHash is the content-address the finished result is (or will
 	// be) served under at GET /v1/results/{hash}; known from submission.
 	ResultHash string `json:"result_hash,omitempty"`
@@ -332,25 +314,45 @@ type jobStatus struct {
 	FinishedAt string `json:"finished_at,omitempty"`
 }
 
-func (j *job) status() jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// status renders a durable record in the wire form.
+func status(rec *jobstore.Record) jobStatus {
+	var req jobRequest
+	_ = json.Unmarshal(rec.Request, &req) // a malformed request still reports its state
+	req = req.withDefaults()
 	st := jobStatus{
-		ID: j.id, Kind: j.kind, Preset: j.preset,
-		State: j.state, Priority: j.priority, Error: j.err,
-		Attempt: j.attempt, Attempts: j.history, Worker: j.worker,
-		ResultHash: j.resultKey,
+		ID: rec.ID, Kind: req.Kind, Preset: req.Preset,
+		State: rec.State, Priority: req.Priority, Progress: rec.Progress,
+		Attempt: rec.Attempt, Worker: rec.Worker, ResultHash: rec.ResultHash,
 	}
-	st.Progress.Done = j.done.Load()
-	st.Progress.Total = j.total.Load()
+	if rec.State != StateDone {
+		st.Error = rec.LastError()
+	}
+	for _, e := range rec.Errors {
+		st.Attempts = append(st.Attempts, fmt.Sprintf("attempt %d (worker %s): %s", e.Attempt, e.Worker, e.Error))
+	}
 	stamp := func(t time.Time) string {
 		if t.IsZero() {
 			return ""
 		}
 		return t.UTC().Format(time.RFC3339Nano)
 	}
-	st.CreatedAt, st.StartedAt, st.FinishedAt = stamp(j.created), stamp(j.started), stamp(j.finished)
+	st.CreatedAt, st.StartedAt = stamp(rec.CreatedAt), stamp(rec.StartedAt)
+	switch rec.State {
+	case StateDone, StateFailed, StateCanceled:
+		st.FinishedAt = stamp(rec.UpdatedAt)
+	}
 	return st
+}
+
+// withDefaults fills the kind and preset a request may omit.
+func (r jobRequest) withDefaults() jobRequest {
+	if r.Kind == "" {
+		r.Kind = "comparison"
+	}
+	if r.Preset == "" {
+		r.Preset = "quick"
+	}
+	return r
 }
 
 // MixInfo names one mix of a comparison result.
@@ -393,15 +395,11 @@ func newJobID() string {
 // buildJob validates a request against the configured presets and
 // policies, failing fast at submission so queued jobs can't be malformed.
 func (s *Server) buildJob(req jobRequest) (*job, error) {
+	req = req.withDefaults()
 	switch req.Kind {
-	case "", "comparison":
-		req.Kind = "comparison"
-	case "characterize", "fig3":
+	case "comparison", "characterize", "fig3":
 	default:
 		return nil, fmt.Errorf("unknown kind %q (want comparison, characterize or fig3)", req.Kind)
-	}
-	if req.Preset == "" {
-		req.Preset = "quick"
 	}
 	opts, ok := s.cfg.Presets[req.Preset]
 	if !ok {
@@ -479,8 +477,6 @@ func (s *Server) buildJob(req jobRequest) (*job, error) {
 		opts:      opts,
 		policies:  policies,
 		resultKey: resultKey,
-		state:     StateQueued,
-		created:   time.Now(),
 	}
 	switch {
 	case req.TimeoutSeconds < 0:
@@ -493,29 +489,54 @@ func (s *Server) buildJob(req jobRequest) (*job, error) {
 	return j, nil
 }
 
-// enqueueJob registers a built job and pushes it onto the queue,
-// durable-first (so any cluster worker can run it even if this process
-// dies immediately). rawReq is the original request body the durable
-// record persists. On failure the job is fully unregistered and the error
+// enqueueJob persists a built job's record and pushes the job onto the
+// local queue, durable-first (so any cluster worker can run it even if
+// this process dies immediately). rawReq is the original request body the
+// record persists. On failure the record is deleted again and the error
 // maps to a 503.
-func (s *Server) enqueueJob(j *job, rawReq []byte) error {
-	if _, err := s.cfg.Jobs.Enqueue(j.id, rawReq, s.cfg.MaxAttempts); err != nil {
-		return fmt.Errorf("persist job: %w", err)
+func (s *Server) enqueueJob(j *job, rawReq []byte) (*jobstore.Record, error) {
+	rec, err := s.cfg.Jobs.Enqueue(j.id, rawReq, s.cfg.MaxAttempts, j.resultKey)
+	if err != nil {
+		return nil, fmt.Errorf("persist job: %w", err)
 	}
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	j.mu.Lock()
-	j.inQueue = true
-	j.mu.Unlock()
-	if err := s.queue.push(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		s.mu.Unlock()
+	if err := s.pushLocal(j); err != nil {
 		s.cfg.Jobs.Delete(j.id)
+		return nil, err
+	}
+	return rec, nil
+}
+
+// pushLocal puts j in local and the heap, or neither when the heap is
+// full or closed. A job already held here (the scanner got to it first)
+// is not pushed twice.
+func (s *Server) pushLocal(j *job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.local[j.id] != nil {
+		return nil
+	}
+	if err := s.queue.push(j); err != nil {
 		return err
 	}
+	s.local[j.id] = j
 	return nil
+}
+
+// dropLocal forgets j once it left the heap without running or its run
+// ended.
+func (s *Server) dropLocal(j *job) {
+	s.mu.Lock()
+	if s.local[j.id] == j {
+		delete(s.local, j.id)
+	}
+	s.mu.Unlock()
+}
+
+// localJob returns the job held here under id, or nil.
+func (s *Server) localJob(id string) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.local[id]
 }
 
 // buildJobFromRecord rebuilds a job from its durable record — how a
@@ -531,46 +552,13 @@ func (s *Server) buildJobFromRecord(rec *jobstore.Record) (*job, error) {
 		return nil, fmt.Errorf("record %s: %w", rec.ID, err)
 	}
 	j.id = rec.ID
-	j.created = rec.CreatedAt
 	return j, nil
 }
 
-// syncFromRecord refreshes a local mirror from the durable record rec,
-// read after the transition stamp listed was taken. Callers must not hold
-// j.mu. Jobs this process is executing are authoritative locally and are
-// left alone, and so are jobs whose last local transition is newer than
-// the listing: rec predates it. Without that check a scanner pass that
-// listed a job as queued, applied after this process finished the job,
-// would turn the done job back into a queued one whose result is refused.
-func syncFromRecord(j *job, rec *jobstore.Record, listed uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.localRun || j.settled > listed {
-		return
-	}
-	j.state = rec.State
-	j.attempt = rec.Attempt
-	j.worker = rec.Worker
-	j.err = rec.LastError()
-	j.history = j.history[:0]
-	for _, e := range rec.Errors {
-		j.history = append(j.history, fmt.Sprintf("attempt %d (worker %s): %s", e.Attempt, e.Worker, e.Error))
-	}
-}
-
-// endRunLocked ends j's local execution and stamps the transition (see
-// syncFromRecord). j.mu must be held.
-func (s *Server) endRunLocked(j *job) {
-	j.localRun = false
-	j.cancel = nil
-	j.settled = s.transitions.Add(1)
-}
-
-// scanLoop is the durable-job scanner: on a jittered interval it adopts
-// records this process has never seen, pushes due queued work into the
-// local heap, and reaps running jobs whose workers stopped heartbeating.
-// Every worker in the cluster runs one; the lease protocol makes their
-// overlap safe.
+// scanLoop is the durable-job scanner: on an interval it reaps running
+// jobs whose workers stopped heartbeating, pushes due queued work into
+// the local heap, and counts the jobs by state. Every worker in the
+// cluster runs one; the lease protocol makes their overlap safe.
 func (s *Server) scanLoop() {
 	defer close(s.scanDone)
 	t := time.NewTicker(s.cfg.ScanInterval)
@@ -591,136 +579,104 @@ func (s *Server) scanLoop() {
 
 // scanOnceNow performs one scanner pass.
 func (s *Server) scanOnceNow() {
-	listed := s.transitions.Add(1)
 	recs, err := s.cfg.Jobs.List()
 	if err != nil {
 		return // transient store trouble; next tick retries
 	}
-	s.applyRecords(recs, listed)
+	s.scanRecords(recs)
 }
 
-// applyRecords is the second half of a scanner pass: it brings the local
-// mirrors up to date with records listed after the stamp listed.
-func (s *Server) applyRecords(recs []*jobstore.Record, listed uint64) {
+// scanRecords is the second half of a scanner pass over the records it
+// listed. A listing may be stale by the time it is applied, so a queued
+// record is re-read before its job is pushed, and Claim still decides
+// who runs it.
+func (s *Server) scanRecords(recs []*jobstore.Record) {
 	now := s.cfg.Jobs.Now()
+	var counts [len(jobStates)]int
+	heapFull := false
 	for _, rec := range recs {
-		s.mu.Lock()
-		j := s.jobs[rec.ID]
-		s.mu.Unlock()
-		if j == nil {
-			nj, err := s.buildJobFromRecord(rec)
-			if err != nil {
-				continue // malformed record; quarantined by inspection, not crash
-			}
-			s.mu.Lock()
-			if exist := s.jobs[rec.ID]; exist != nil {
-				j = exist
-			} else {
-				s.jobs[rec.ID] = nj
-				j = nj
-			}
-			s.mu.Unlock()
-		}
-
-		switch rec.State {
-		case jobstore.StateRunning:
-			reaped, err := s.cfg.Jobs.ReapExpired(rec)
-			if err != nil || !reaped {
-				if err == nil {
-					syncFromRecord(j, rec, listed)
+		if rec.State == jobstore.StateRunning {
+			if reaped, err := s.cfg.Jobs.ReapExpired(rec); err == nil && reaped {
+				// rec now holds the post-reap state: queued, or failed when
+				// the dead worker burned the last attempt.
+				s.cfg.Counters.JobRequeued()
+				if rec.State == jobstore.StateFailed {
+					s.cfg.Counters.JobQuarantined()
 				}
-				continue
 			}
-			// rec now reflects the post-reap state (queued, or failed when
-			// the dead worker burned the last attempt), written just now.
-			s.cfg.Counters.JobRequeued()
-			if rec.State == jobstore.StateFailed {
-				s.cfg.Counters.JobQuarantined()
-			}
-			syncFromRecord(j, rec, s.transitions.Add(1))
-			s.maybeEnqueueLocal(j, rec, now)
-		case jobstore.StateQueued:
-			syncFromRecord(j, rec, listed)
-			s.maybeEnqueueLocal(j, rec, now)
-		default:
-			syncFromRecord(j, rec, listed)
+		}
+		if i := slices.Index(jobStates[:], rec.State); i >= 0 {
+			counts[i]++
+		}
+		if rec.State == jobstore.StateQueued && !now.Before(rec.NotBefore) && !heapFull {
+			heapFull = errors.Is(s.pushDue(rec.ID), ErrQueueFull)
 		}
 	}
+	s.counts.Store(&counts)
 }
 
-// maybeEnqueueLocal pushes a due, queued, durable job into this worker's
-// local heap (once).
-func (s *Server) maybeEnqueueLocal(j *job, rec *jobstore.Record, now time.Time) {
-	if rec.State != jobstore.StateQueued || now.Before(rec.NotBefore) {
-		return
+// pushDue pushes job id into the local heap when it is not held here and
+// its freshly read record is queued and due. The re-read happens after
+// the local check, so a job that left local (its run ended, or a DELETE
+// took it out of the heap) is pushed again only if its record still says
+// so.
+func (s *Server) pushDue(id string) error {
+	if s.localJob(id) != nil {
+		return nil
 	}
-	j.mu.Lock()
-	if j.state != StateQueued || j.inQueue || j.localRun {
-		j.mu.Unlock()
-		return
+	rec, err := s.cfg.Jobs.Get(id)
+	if err != nil || rec.State != jobstore.StateQueued || s.cfg.Jobs.Now().Before(rec.NotBefore) {
+		return nil
 	}
-	j.inQueue = true
-	j.mu.Unlock()
-	if err := s.queue.push(j); err != nil {
-		j.mu.Lock()
-		j.inQueue = false
-		j.mu.Unlock()
+	j, err := s.buildJobFromRecord(rec)
+	if err != nil {
+		return nil // malformed record; quarantined by inspection, not crash
 	}
+	return s.pushLocal(j)
 }
 
 // run executes one popped job through its full lifecycle: claim,
 // heartbeat, per-attempt timeout, execution, and the terminal or retry
-// transition.
+// transition. The job leaves local when it returns.
 func (s *Server) run(j *job) {
-	j.mu.Lock()
-	j.inQueue = false
-	if j.state != StateQueued { // cancelled while waiting
-		j.mu.Unlock()
-		return
-	}
-	j.mu.Unlock()
-
+	defer s.dropLocal(j)
 	// The local heap is only a hint — the lease is the cluster-wide
 	// mutual exclusion.
 	lease, err := s.cfg.Jobs.Claim(j.id)
 	if err != nil {
 		// Held by another worker, canceled, or backoff-gated: the scanner
-		// keeps the mirror fresh and re-enqueues when due.
+		// pushes it again when its record is due.
 		return
 	}
-	listed := s.transitions.Add(1)
 	rec, err := s.cfg.Jobs.Get(j.id)
 	if err != nil || (rec.State != jobstore.StateQueued && rec.State != jobstore.StateRunning) {
-		if err == nil {
-			syncFromRecord(j, rec, listed)
-		}
 		lease.Release()
 		return
 	}
+	rec.ResultHash = j.resultKey // the key this run publishes under
 	if err := s.cfg.Jobs.MarkRunning(lease, rec); err != nil {
 		return
 	}
 
-	j.mu.Lock()
 	jobCtx, jobCancel := context.WithCancel(s.baseCtx)
 	if j.timeout > 0 {
 		jobCtx, jobCancel = context.WithTimeout(s.baseCtx, j.timeout)
 	}
-	j.state = StateRunning
-	j.localRun = true
-	j.leaseLost = false
-	j.cancelReason = ""
-	j.attempt = rec.Attempt
-	j.worker = s.cfg.Jobs.Worker()
-	j.started = time.Now()
+	defer jobCancel()
+	st := status(rec)
+	j.mu.Lock()
+	j.running = &st
 	j.cancel = jobCancel
 	j.mu.Unlock()
-	defer jobCancel()
 
 	// Heartbeat: renew the lease at TTL/3 so the job survives long
 	// executions; a failed renewal means we lost the job to a reaper —
-	// cancel the attempt and write nothing durable (fencing).
+	// cancel the attempt and write nothing durable (fencing). A durable
+	// cancel request it observes (cross-node DELETE) becomes the recorded
+	// reason instead of the bare context error. Both are read only after
+	// hbDone closes.
 	hbStop, hbDone := make(chan struct{}), make(chan struct{})
+	leaseLost, cancelReason := false, ""
 	interval := s.cfg.Jobs.TTL() / 3
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
@@ -738,18 +694,14 @@ func (s *Server) run(j *job) {
 					return
 				}
 				if err := lease.Renew(); err != nil {
-					j.mu.Lock()
-					j.leaseLost = true
-					j.mu.Unlock()
+					leaseLost = true
 					jobCancel()
 					return
 				}
 				// Cross-node cancel: a client's DELETE on any worker leaves
 				// a durable flag only the leaseholder can honor.
 				if reason, ok := s.cfg.Jobs.CancelRequested(j.id); ok {
-					j.mu.Lock()
-					j.cancelReason = reason
-					j.mu.Unlock()
+					cancelReason = reason
 					jobCancel()
 					return
 				}
@@ -784,6 +736,7 @@ func (s *Server) run(j *job) {
 	attemptCancel()
 	close(hbStop)
 	<-hbDone
+	rec.Progress = jobstore.Progress{Done: j.done.Load(), Total: j.total.Load()}
 
 	if s.dead.Load() {
 		// Chaos-test SIGKILL: the process is "gone" — no durable writes,
@@ -791,28 +744,18 @@ func (s *Server) run(j *job) {
 		return
 	}
 
-	j.mu.Lock()
-	leaseLost := j.leaseLost
-	j.mu.Unlock()
-
 	switch {
 	case leaseLost:
 		// Another worker reaped our lease (e.g. a long GC pause or a
-		// store stall starved the heartbeat); it owns the job now. Drop
-		// back to a passive mirror — the scanner reports the new owner's
-		// progress.
-		j.mu.Lock()
-		s.endRunLocked(j)
-		j.state = StateQueued
-		j.err = "lease lost; job taken over by another worker"
-		j.mu.Unlock()
-
+		// store stall starved the heartbeat); it owns the job now and
+		// writes its record.
 	case err == nil:
 		s.finishDone(j, lease, rec, raw)
-
 	case jobCtx.Err() != nil:
-		s.finishCanceled(j, lease, rec, err)
-
+		if cancelReason == "" {
+			cancelReason = err.Error()
+		}
+		s.finishCanceled(j, lease, rec, cancelReason)
 	default:
 		// Failed attempt (including a per-attempt timeout): retry with
 		// backoff until MaxAttempts, then quarantine.
@@ -821,113 +764,63 @@ func (s *Server) run(j *job) {
 }
 
 // finishDone writes the job's successful terminal state, durably first.
-// The canonical result bytes are (a) written to the durable job record,
-// (b) published to the run store and readcache under the job's
-// content-address, and (c) kept as the job's raw result — so the job
-// endpoint and the read path serve byte-identical payloads.
+// The canonical result bytes are written to the durable job record and
+// published to the run store and readcache under the job's
+// content-address, so the job endpoint and the read path serve
+// byte-identical payloads. A durable write that fails for any reason but
+// a lost lease is a failed attempt.
 func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record, raw []byte) {
-	if err := s.cfg.Jobs.Complete(lease, rec, raw); errors.Is(err, jobstore.ErrLeaseLost) {
-		j.mu.Lock()
-		s.endRunLocked(j)
-		j.state = StateQueued
-		j.err = "lease lost at completion; job taken over by another worker"
-		j.mu.Unlock()
+	if err := s.cfg.Jobs.Complete(lease, rec, raw); err != nil {
+		if !errors.Is(err, jobstore.ErrLeaseLost) {
+			s.finishFailedAttempt(j, lease, rec, err)
+		}
 		return
 	}
-	// Any other durable-write failure is absorbed: the computed result is
-	// still served from this process. So is a failed store write (full
-	// disk, open breaker): the readcache still serves it.
+	// A failed store write (full disk, open breaker) is absorbed: the
+	// readcache and the durable result still serve the bytes.
 	s.cfg.Store.Put(j.resultKey, raw)
 	s.reads.put(j.resultKey, raw)
-	j.mu.Lock()
-	j.finished = time.Now()
-	s.endRunLocked(j)
-	j.state = StateDone
-	j.err = ""
-	j.resultRaw = raw
-	j.mu.Unlock()
 	s.clearLookup(j)
 }
 
 // finishCanceled handles a job whose context ended: client cancellation,
 // the job-level timeout, or a forced shutdown. A forced shutdown requeues
 // the job so surviving workers finish it instead.
-func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Record, err error) {
+func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Record, reason string) {
 	if s.baseCtx.Err() != nil {
 		// Forced drain: hand the in-flight job back to the cluster.
 		s.cfg.Jobs.Requeue(lease, rec)
-		j.mu.Lock()
-		j.finished = time.Now()
-		s.endRunLocked(j)
-		j.state = StateCanceled
-		j.err = "server shutting down; job requeued for surviving workers"
-		j.mu.Unlock()
-		s.clearLookup(j)
 		return
 	}
-	reason := err.Error()
-	j.mu.Lock()
-	if j.cancelReason != "" {
-		reason = j.cancelReason
-	}
-	j.mu.Unlock()
 	s.cfg.Jobs.CancelUnderLease(lease, rec, reason)
-	j.mu.Lock()
-	j.finished = time.Now()
-	s.endRunLocked(j)
-	j.state = StateCanceled
-	j.err = reason
-	j.mu.Unlock()
 	s.clearLookup(j)
 }
 
 // clearLookup drops j's compute-on-miss dedup entry once it is terminal,
 // so a later lookup for the same config can enqueue a fresh job.
 func (s *Server) clearLookup(j *job) {
-	if j.resultKey == "" {
-		return
-	}
 	s.mu.Lock()
-	if s.lookups[j.resultKey] == j {
+	if s.lookups[j.resultKey] == j.id {
 		delete(s.lookups, j.resultKey)
 	}
 	s.mu.Unlock()
 }
 
 // finishFailedAttempt charges one failed attempt: requeue with backoff
-// below MaxAttempts, quarantine at the limit.
+// below MaxAttempts, quarantine at the limit. When the record cannot be
+// written the lease expires and a reaper requeues the job.
 func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstore.Record, execErr error) {
-	j.mu.Lock()
-	j.history = append(j.history, fmt.Sprintf("attempt %d (worker %s): %s", j.attempt, j.worker, execErr.Error()))
-	j.mu.Unlock()
-
 	retried, err := s.cfg.Jobs.Fail(lease, rec, execErr.Error())
-	if errors.Is(err, jobstore.ErrLeaseLost) {
-		j.mu.Lock()
-		s.endRunLocked(j)
-		j.state = StateQueued
-		j.mu.Unlock()
-		return
-	}
-	if retried {
-		s.cfg.Counters.JobRetried()
-		j.mu.Lock()
-		s.endRunLocked(j)
-		j.state = StateQueued
-		j.err = execErr.Error()
-		j.mu.Unlock()
+	switch {
+	case err != nil:
+	case retried:
 		// The scanner (ours or any peer's) re-enqueues once NotBefore
 		// passes.
-		return
+		s.cfg.Counters.JobRetried()
+	default:
+		s.cfg.Counters.JobQuarantined()
+		s.clearLookup(j)
 	}
-	s.cfg.Counters.JobQuarantined()
-	j.mu.Lock()
-	j.finished = time.Now()
-	s.endRunLocked(j)
-	j.state = StateFailed
-	j.err = execErr.Error()
-	j.mu.Unlock()
-	s.clearLookup(j)
 }
 
 // executeJob dispatches on kind and shapes the engine's output into the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -99,22 +100,60 @@ func postJob(t *testing.T, ts *httptest.Server, body string) jobStatus {
 	return st
 }
 
+// getStatus fetches one job's status.
+func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st jobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// listJobs fetches the job listing.
+func listJobs(t *testing.T, ts *httptest.Server) []jobStatus {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []jobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Jobs
+}
+
+// scrape fetches /metrics.
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
 // awaitState polls a job until it reaches want (failing on a terminal
 // state that isn't want).
 func awaitState(t *testing.T, ts *httptest.Server, id, want string) jobStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := getStatus(t, ts, id)
 		if st.State == want {
 			return st
 		}
@@ -254,20 +293,8 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("overflow submit: status %d: %s", resp.StatusCode, body)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list struct {
-		Jobs []jobStatus `json:"jobs"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Jobs) != 2 {
-		t.Fatalf("listing has %d jobs, want 2 (rejected job must not appear): %+v", len(list.Jobs), list.Jobs)
+	if jobs := listJobs(t, ts); len(jobs) != 2 {
+		t.Fatalf("listing has %d jobs, want 2 (rejected job must not appear): %+v", len(jobs), jobs)
 	}
 	_ = running
 	_ = queued
@@ -382,11 +409,8 @@ func TestShutdownDrains(t *testing.T) {
 	if st := awaitState(t, ts, running.ID, StateDone); st.State != StateDone {
 		t.Errorf("running job after drain: %+v", st)
 	}
-	s.mu.Lock()
-	mirror := s.jobs[queued.ID]
-	s.mu.Unlock()
-	if st := mirror.status(); st.State != StateQueued || st.Error == "" {
-		t.Errorf("queued job mirror after drain = %q (reason %q), want queued with a reason", st.State, st.Error)
+	if st := getStatus(t, ts, queued.ID); st.State != StateQueued {
+		t.Errorf("queued job status after drain = %q, want queued", st.State)
 	}
 	if rec, err := js.Get(queued.ID); err != nil || rec.State != jobstore.StateQueued {
 		t.Errorf("queued job record after drain = (%+v, %v), want queued", rec, err)
@@ -404,6 +428,97 @@ func TestShutdownDrains(t *testing.T) {
 	})
 	if st := awaitState(t, ts2, queued.ID, StateDone); st.Worker != "w-new" {
 		t.Errorf("adopted job finished by %q, want w-new", st.Worker)
+	}
+}
+
+// TestForcedDrainRequeuesJob pins what a forced drain leaves behind: the
+// job running when Shutdown's deadline passes is queued again in its
+// record, the listing and the job gauge say so, and a second server on
+// the same jobs directory finishes it.
+func TestForcedDrainRequeuesJob(t *testing.T) {
+	jobsDir := t.TempDir()
+	s, ts, _, started := blockingServer(t, Config{Jobs: testJobstore(t, jobsDir, "w-old"), Workers: 1})
+	st := postJob(t, ts, `{"preset":"tiny"}`)
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("forced shutdown = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if rec, err := s.cfg.Jobs.Get(st.ID); err != nil || rec.State != jobstore.StateQueued {
+		t.Fatalf("record after forced drain = (%+v, %v), want queued", rec, err)
+	}
+	if jobs := listJobs(t, ts); len(jobs) != 1 || jobs[0].State != StateQueued {
+		t.Errorf("listing after forced drain = %+v, want the job queued", jobs)
+	}
+	s.scanOnceNow()
+	if body := scrape(t, ts); !strings.Contains(body, `cmm_jobs{state="queued"} 1`) {
+		t.Errorf("metrics after forced drain miss cmm_jobs{state=\"queued\"} 1:\n%s", body)
+	}
+
+	_, ts2 := tinyServer(t, Config{
+		Jobs: testJobstore(t, jobsDir, "w-new"),
+		execute: func(ctx context.Context, j *job) (any, error) {
+			return map[string]string{"finished_by": "w-new"}, nil
+		},
+	})
+	if got := awaitState(t, ts2, st.ID, StateDone); got.Worker != "w-new" || got.Attempt != 2 {
+		t.Errorf("requeued job finished by %q on attempt %d, want w-new on attempt 2", got.Worker, got.Attempt)
+	}
+}
+
+// TestLocalStateBounded pins that the server keeps per-job state only
+// for the jobs in its heap or running: while 2,000 jobs pass through,
+// local never holds more than QueueDepth + Workers of them, afterwards
+// it holds none, and the listing still reports every job done.
+func TestLocalStateBounded(t *testing.T) {
+	const n, workers, depth = 2000, 2, 16
+	s, ts := tinyServer(t, Config{
+		Workers: workers, QueueDepth: depth, ScanInterval: time.Hour,
+		execute: func(ctx context.Context, j *job) (any, error) {
+			return map[string]bool{"ok": true}, nil
+		},
+	})
+	held := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.local)
+	}
+	most := 0
+	for range n {
+		for {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"preset":"tiny"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusAccepted {
+				break
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit: status %d", resp.StatusCode)
+			}
+			time.Sleep(time.Millisecond) // queue full: let the workers catch up
+		}
+		most = max(most, held())
+	}
+	for deadline := time.Now().Add(time.Minute); held() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs still held locally", held())
+		}
+	}
+	if most > depth+workers {
+		t.Errorf("local held up to %d jobs, want at most QueueDepth + Workers = %d", most, depth+workers)
+	}
+	jobs := listJobs(t, ts)
+	if len(jobs) != n {
+		t.Fatalf("listing has %d jobs, want %d", len(jobs), n)
+	}
+	for _, st := range jobs {
+		if st.State != StateDone {
+			t.Fatalf("job %s is %q, want done", st.ID, st.State)
+		}
 	}
 }
 
@@ -450,17 +565,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := store.Put("ab"+strings.Repeat("0", 62), []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	_, ts, release, started := blockingServer(t, Config{Workers: 1, QueueDepth: 8, Store: store})
+	s, ts, release, started := blockingServer(t, Config{Workers: 1, QueueDepth: 8, Store: store})
 	defer close(release)
 	postJob(t, ts, `{"preset":"tiny"}`)
 	<-started
+	s.stopScanner()
+	s.scanOnceNow() // the job gauges are as of the last scan
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body := scrape(t, ts)
 	for _, want := range []string{
 		"cmm_epochs_total ",
 		"cmm_store_hits_total ",
@@ -470,7 +582,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cmm_store_disk_bytes ",
 		"cmm_leases_active 1",
 	} {
-		if !strings.Contains(string(body), want) {
+		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
