@@ -239,31 +239,11 @@ func RunComparison(opts Options, policies []cmm.Policy) (*Comparison, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	selected, err := paperMixes(opts)
+	selected, err := mixes.Selection(opts.Cores, opts.BaseSeed, opts.MixesPerCategory)
 	if err != nil {
 		return nil, err
 	}
 	return RunComparisonMixes(opts, selected, policies)
-}
-
-// paperMixes selects the first opts.MixesPerCategory mixes of each of the
-// paper's categories.
-func paperMixes(opts Options) ([]mixes.Mix, error) {
-	all, err := mixes.All(opts.Cores, opts.BaseSeed)
-	if err != nil {
-		return nil, err
-	}
-	var selected []mixes.Mix
-	for c := mixes.Category(0); c < mixes.NumCategories; c++ {
-		kept := 0
-		for _, m := range all {
-			if m.Category == c && kept < opts.MixesPerCategory {
-				selected = append(selected, m)
-				kept++
-			}
-		}
-	}
-	return selected, nil
 }
 
 // RunComparisonMixes is RunComparison over an explicit mix list instead of

@@ -405,7 +405,7 @@ func TestHistorySharingAccounting(t *testing.T) {
 	}
 	opts := shapeOptions()
 	opts.Workers = 1
-	selected, err := paperMixes(opts)
+	selected, err := mixes.Selection(opts.Cores, opts.BaseSeed, opts.MixesPerCategory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,12 +184,18 @@ func nonAgg(rng *rand.Rand, p pools, n int) []workload.Spec {
 
 // Build constructs one mix of the given category for nCores cores.
 func Build(cat Category, nCores int, seed int64) (Mix, error) {
-	if nCores < 4 {
-		return Mix{}, fmt.Errorf("mixes: need >= 4 cores, got %d", nCores)
-	}
 	p, err := buildPools()
 	if err != nil {
 		return Mix{}, err
+	}
+	return p.build(cat, nCores, seed)
+}
+
+// build is Build over already split pools, so a family of mixes splits
+// the suite once.
+func (p pools) build(cat Category, nCores int, seed int64) (Mix, error) {
+	if nCores < 4 {
+		return Mix{}, fmt.Errorf("mixes: need >= 4 cores, got %d", nCores)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	half := nCores / 2
@@ -233,10 +239,21 @@ func Build(cat Category, nCores int, seed int64) (Mix, error) {
 // per category, in presentation order (Pref Fri, Pref Agg, Pref Unfri,
 // Pref No Agg), deterministically from the base seed.
 func All(nCores int, baseSeed int64) ([]Mix, error) {
+	return Selection(nCores, baseSeed, MixesPerCategory)
+}
+
+// Selection constructs the first perCategory mixes (at most
+// MixesPerCategory) of each of the paper's categories: the same mixes,
+// names and order as filtering All, without building the rest.
+func Selection(nCores int, baseSeed int64, perCategory int) ([]Mix, error) {
+	p, err := buildPools()
+	if err != nil {
+		return nil, err
+	}
 	var out []Mix
 	for c := Category(0); c < NumCategories; c++ {
-		for i := 0; i < MixesPerCategory; i++ {
-			m, err := Build(c, nCores, baseSeed+int64(c)*1000+int64(i))
+		for i := 0; i < min(perCategory, MixesPerCategory); i++ {
+			m, err := p.build(c, nCores, baseSeed+int64(c)*1000+int64(i))
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,8 @@
 package mixes
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"cmm/internal/workload"
@@ -229,6 +231,44 @@ func TestSmallerMachines(t *testing.T) {
 		}
 		if len(m.Specs) != 4 {
 			t.Fatalf("%v: %d specs", c, len(m.Specs))
+		}
+	}
+}
+
+// TestSelectionMatchesFilteredSet checks Selection against the definition
+// it replaces: build every mix of the paper's set one Build at a time,
+// then keep the first perCategory of each category.
+func TestSelectionMatchesFilteredSet(t *testing.T) {
+	for _, cores := range []int{8, 64} {
+		var full []Mix
+		for c := Category(0); c < NumCategories; c++ {
+			for i := 0; i < MixesPerCategory; i++ {
+				m, err := Build(c, cores, 5+int64(c)*1000+int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Name = fmt.Sprintf("%s #%d", c, i+1)
+				full = append(full, m)
+			}
+		}
+		for _, per := range []int{1, 3, 10} {
+			var want []Mix
+			for c := Category(0); c < NumCategories; c++ {
+				kept := 0
+				for _, m := range full {
+					if m.Category == c && kept < per {
+						want = append(want, m)
+						kept++
+					}
+				}
+			}
+			got, err := Selection(cores, 5, per)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d cores, %d per category: Selection differs from the filtered set", cores, per)
+			}
 		}
 	}
 }

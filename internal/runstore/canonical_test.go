@@ -3,10 +3,126 @@ package runstore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// oracleCanonical is the reference definition of the canonical bytes:
+// marshal with encoding/json, decode into generic values (numbers kept as
+// their text), and re-encode with sorted keys and the canonical number
+// rule. Canonical must agree with it byte for byte on every value, and
+// must fail exactly where it fails.
+func oracleCanonical(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("runstore: marshal: %w", err)
+	}
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return nil, fmt.Errorf("runstore: reparse: %w", err)
+	}
+	var b strings.Builder
+	if err := oracleWrite(&b, tree); err != nil {
+		return nil, err
+	}
+	return []byte(b.String()), nil
+}
+
+// oracleWrite renders one decoded JSON value deterministically.
+func oracleWrite(b *strings.Builder, v any) error {
+	switch t := v.(type) {
+	case nil:
+		b.WriteString("null")
+	case bool:
+		if t {
+			b.WriteString("true")
+		} else {
+			b.WriteString("false")
+		}
+	case string:
+		data, err := json.Marshal(t)
+		if err != nil {
+			return err
+		}
+		b.Write(data)
+	case json.Number:
+		b.WriteString(oracleNumber(t))
+	case []any:
+		b.WriteByte('[')
+		for i, e := range t {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if err := oracleWrite(b, e); err != nil {
+				return err
+			}
+		}
+		b.WriteByte(']')
+	case map[string]any:
+		keys := make([]string, 0, len(t))
+		for k := range t {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			kd, err := json.Marshal(k)
+			if err != nil {
+				return err
+			}
+			b.Write(kd)
+			b.WriteByte(':')
+			if err := oracleWrite(b, t[k]); err != nil {
+				return err
+			}
+		}
+		b.WriteByte('}')
+	default:
+		return fmt.Errorf("runstore: unexpected decoded type %T", v)
+	}
+	return nil
+}
+
+// oracleNumber fixes the textual form of one JSON number: integers pass
+// through verbatim; everything else becomes the 17-significant-digit
+// scientific form of its float64 value.
+func oracleNumber(n json.Number) string {
+	s := n.String()
+	if !strings.ContainsAny(s, ".eE") {
+		return s
+	}
+	f, err := n.Float64()
+	if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
+		return s
+	}
+	return strconv.FormatFloat(f, 'e', 16, 64)
+}
+
+// checkAgainstOracle fails t unless Canonical(v) and the oracle agree:
+// the same bytes, or both an error.
+func checkAgainstOracle(t *testing.T, name string, v any) {
+	t.Helper()
+	want, werr := oracleCanonical(v)
+	got, gerr := Canonical(v)
+	switch {
+	case werr != nil && gerr == nil:
+		t.Errorf("%s: oracle fails (%v), Canonical gives %s", name, werr, got)
+	case werr == nil && gerr != nil:
+		t.Errorf("%s: Canonical fails (%v), oracle gives %s", name, gerr, want)
+	case !bytes.Equal(got, want):
+		t.Errorf("%s: Canonical drifted from the oracle:\n got %s\nwant %s", name, got, want)
+	}
+}
 
 // sampleKey mirrors the shape of a real store key: nested structs, floats,
 // large unsigned integers, slices and a map.
@@ -226,4 +342,178 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("canonical encoding carries whitespace: %q", enc)
 		}
 	})
+}
+
+type textKey int
+
+func (k textKey) MarshalText() ([]byte, error) { return []byte(fmt.Sprintf("k%d", k)), nil }
+
+type ptrMarshaler struct{ N int }
+
+func (p *ptrMarshaler) MarshalJSON() ([]byte, error) {
+	return []byte(fmt.Sprintf(`{"z": 1.50, "a": [%d, "<&>"]}`, p.N)), nil
+}
+
+type valMarshaler float64
+
+func (v valMarshaler) MarshalJSON() ([]byte, error) { return []byte(" 0.25 "), nil }
+
+type failingMarshaler struct{}
+
+func (failingMarshaler) MarshalJSON() ([]byte, error) { return nil, fmt.Errorf("boom") }
+
+type inner struct {
+	B int
+	A string
+}
+
+type embedding struct {
+	inner
+	C float64
+}
+
+type stringKind string
+
+type tagged struct {
+	Renamed    float64 `json:"r"`
+	Skipped    int     `json:"-"`
+	Dash       int     `json:"-,"`
+	Empty      []int   `json:",omitempty"`
+	Zero       int     `json:"zero,omitempty"`
+	NilPtr     *int    `json:",omitempty"`
+	Invalid    int     `json:"x\\y"`
+	HTML       string  `json:"<h>"`
+	Unicode    bool    `json:"é"`
+	Kind       stringKind
+	F32        float32
+	Any        any
+	unexported int
+}
+
+type quoted struct {
+	N int `json:",string"`
+}
+
+type omitZero struct {
+	N int `json:",omitzero"`
+}
+
+type dominant struct {
+	X int
+	B int `json:"X"`
+}
+
+type node struct{ Next *node }
+
+type loop *loop
+
+// TestCanonicalMatchesOracle covers the corners of the encoding/json
+// contract the encoder reproduces directly, and every case it hands to
+// encoding/json, against the reference round trip.
+func TestCanonicalMatchesOracle(t *testing.T) {
+	var chain any = 1.5
+	for i := 0; i < 1500; i++ { // past maxPointers, no nesting
+		p := new(any)
+		*p = chain
+		chain = p
+	}
+	deep := func(n int) any {
+		var v any = "leaf"
+		for i := 0; i < n; i++ {
+			v = []any{v}
+		}
+		return v
+	}
+	// Two fields tagged with one name cancel out; built at run time, since
+	// vet rightly rejects the declaration.
+	duplicate := reflect.New(reflect.StructOf([]reflect.StructField{
+		{Name: "A", Type: reflect.TypeFor[int](), Tag: `json:"x"`},
+		{Name: "B", Type: reflect.TypeFor[int](), Tag: `json:"x"`},
+		{Name: "C", Type: reflect.TypeFor[int]()},
+	})).Elem()
+	duplicate.Field(0).SetInt(1)
+	cases := map[string]any{
+		"nil":           nil,
+		"bool":          true,
+		"ints":          []any{int8(-8), int16(16), int32(-32), int64(math.MinInt64), uint8(8), uint16(16), uint32(32), uint64(math.MaxUint64), uintptr(7)},
+		"floats":        []float64{0, math.Copysign(0, -1), 1, -3, 1e20, 1e21, 1e-6, 1e-7, 123.5, 0.1, 1.0 / 3.0, math.MaxFloat64, math.SmallestNonzeroFloat64, -2.5e-300},
+		"float32s":      []float32{0, 0.1, 1e-6, 1e-7, 1e20, 1e21, 16777216, 16777217, math.MaxFloat32, math.SmallestNonzeroFloat32, -1.5},
+		"numbers":       []json.Number{"", "0", "12", "-7", "1.50", "2e3", "1E-2", "1e400"},
+		"strings":       []string{"", "<a&b>", "\x00\x1f\x7f", "\xff\xfe", "a b c", "é日本", `"\`, "\b\f\n\r\t"},
+		"bytes":         [][]byte{[]byte("hello"), nil, {}},
+		"byte array":    [3]byte{1, 2, 3},
+		"empty array":   [0]int{},
+		"map":           map[string]int{"b": 1, "a": 2, "<": 3},
+		"int keys":      map[int]string{10: "a", 9: "b", -1: "c"},
+		"uint keys":     map[uint8]bool{200: true, 3: false},
+		"text keys":     map[textKey]int{2: 1, 10: 2},
+		"kind keys":     map[stringKind]float64{"b": 0.5, "a": 1},
+		"invalid keys":  map[string]int{"\xff": 1, "\xfe": 2, "a": 3},
+		"nil map":       map[string]int(nil),
+		"empty chans":   map[string]chan int{},
+		"ptr method":    &ptrMarshaler{N: 3},
+		"ptr unused":    ptrMarshaler{N: 3},
+		"ptr in slice":  []ptrMarshaler{{N: 1}, {N: 2}},
+		"ptr in map":    map[string]ptrMarshaler{"a": {N: 4}},
+		"val method":    []any{valMarshaler(1), (*valMarshaler)(nil)},
+		"embedding":     &embedding{inner{B: 1, A: "x"}, 0.5},
+		"tagged":        tagged{Renamed: 0.5, Skipped: 1, Dash: 2, Zero: 0, Invalid: 3, HTML: "<>", Unicode: true, Kind: "k", F32: 0.1, Any: map[string]any{"z": nil, "a": []any{}}},
+		"tagged full":   &tagged{Empty: []int{1}, Zero: 4, NilPtr: new(int), Any: &inner{}},
+		"quoted":        quoted{N: 5},
+		"omitzero":      []omitZero{{}, {N: 1}},
+		"duplicate":     duplicate.Interface(),
+		"dominant":      dominant{X: 1, B: 2},
+		"pointer nest":  &struct{ P, Q *int }{P: new(int)},
+		"chain":         chain,
+		"nesting 10000": deep(10000),
+	}
+	for name, v := range cases {
+		checkAgainstOracle(t, name, v)
+	}
+}
+
+// TestCanonicalErrorParity checks that what encoding/json refuses, or what
+// could not be decoded back, is an error, never bytes.
+func TestCanonicalErrorParity(t *testing.T) {
+	cyclic := &node{}
+	cyclic.Next = cyclic
+	var l loop
+	l = loop(&l)
+	selfMap := map[string]any{}
+	selfMap["m"] = selfMap
+	deep := any("leaf")
+	for i := 0; i < maxNesting+1; i++ {
+		deep = []any{deep}
+	}
+	cases := map[string]any{
+		"NaN":          math.NaN(),
+		"+Inf":         math.Inf(1),
+		"-Inf":         math.Inf(-1),
+		"float32 NaN":  float32(math.NaN()),
+		"float32 Inf":  float32(math.Inf(1)),
+		"nested NaN":   map[string]any{"a": []float64{1, math.NaN()}},
+		"chan":         make(chan int),
+		"func":         func() {},
+		"nil func":     (func())(nil),
+		"complex":      complex(1, 2),
+		"chan field":   struct{ C chan int }{},
+		"float keys":   map[float64]int{1: 1},
+		"marshaler":    []any{failingMarshaler{}},
+		"bad number":   json.Number("abc"),
+		"cyclic ptr":   cyclic,
+		"pointer loop": l,
+		"cyclic map":   selfMap,
+		"too deep":     deep,
+	}
+	for name, v := range cases {
+		if _, err := oracleCanonical(v); err == nil {
+			t.Fatalf("%s: the oracle accepts it; not an error case", name)
+		}
+		if got, err := Canonical(v); err == nil {
+			t.Errorf("%s: Canonical = %s, want an error", name, got)
+		}
+		if _, err := Hash(v); err == nil {
+			t.Errorf("%s: Hash succeeded, want an error", name)
+		}
+	}
 }

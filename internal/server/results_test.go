@@ -8,12 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cmm/internal/faultinject"
 	"cmm/internal/runstore"
 )
 
@@ -349,5 +352,71 @@ func TestLookupComputeFailure(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "synthetic compute failure") {
 		t.Errorf("502 body %q does not carry the cause", body)
+	}
+}
+
+// renameCounter counts the atomic-write renames landing on each file name.
+type renameCounter struct {
+	faultinject.OS
+	mu      sync.Mutex
+	renames map[string]int
+}
+
+func (c *renameCounter) Rename(oldpath, newpath string) error {
+	c.mu.Lock()
+	c.renames[filepath.Base(newpath)]++
+	c.mu.Unlock()
+	return c.OS.Rename(oldpath, newpath)
+}
+
+func (c *renameCounter) count(name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.renames[name]
+}
+
+// TestResultPublishedOnlyWhenMissing checks that a finished job writes its
+// result to the run store only when the store lacks it: a resubmitted
+// job leaves the stored entry alone, and a corrupt entry is rewritten.
+func TestResultPublishedOnlyWhenMissing(t *testing.T) {
+	dir := t.TempDir()
+	const body = `{"kind":"comparison","preset":"tiny","policies":["PT"]}`
+	run := func() (*renameCounter, jobStatus, []byte) {
+		t.Helper()
+		fsys := &renameCounter{renames: map[string]int{}}
+		store, err := runstore.Open(dir, runstore.WithFS(fsys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := tinyServer(t, Config{Store: store})
+		st := postJob(t, ts, body)
+		awaitState(t, ts, st.ID, StateDone)
+		_, _, res := getRaw(t, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
+		again := postJob(t, ts, body)
+		awaitState(t, ts, again.ID, StateDone)
+		return fsys, st, res
+	}
+
+	fsys, st, res := run()
+	file := st.ResultHash + ".json"
+	if n := fsys.count(file); n != 1 {
+		t.Fatalf("two jobs of one configuration wrote the result %d times, want 1", n)
+	}
+
+	// Corrupt the entry on disk; a fresh store finds it on its first Get.
+	path := filepath.Join(dir, st.ResultHash[:2], file)
+	if err := os.WriteFile(path, []byte(`{"truncated`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys, _, _ = run()
+	if n := fsys.count(file); n != 1 {
+		t.Fatalf("a corrupt result entry was rewritten %d times, want 1", n)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, res) {
+		t.Errorf("rewritten entry differs from the job's result (%d vs %d bytes)", len(got), len(res))
 	}
 }

@@ -776,9 +776,14 @@ func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record,
 		}
 		return
 	}
-	// A failed store write (full disk, open breaker) is absorbed: the
-	// readcache and the durable result still serve the bytes.
-	s.cfg.Store.Put(j.resultKey, raw)
+	// The key is content-addressed, so an entry already in the store holds
+	// these bytes and is not rewritten; a missing entry is written, and so
+	// is a corrupt one, which Get quarantines and reports missing. A failed
+	// store write (full disk, open breaker) is absorbed: the readcache and
+	// the durable result still serve the bytes.
+	if _, ok := s.cfg.Store.Get(j.resultKey); !ok {
+		s.cfg.Store.Put(j.resultKey, raw)
+	}
 	s.reads.put(j.resultKey, raw)
 	s.clearLookup(j)
 }
