@@ -17,8 +17,10 @@
 //
 // Phases:
 //
-//	cold    one pass over every key with an empty byte-cache front —
-//	        each request falls through to the run store and warms it
+//	cold    one pass over every key, its first read: a key missing
+//	        from the run store's memory front is read from the store's
+//	        disk body and warms the front (-selftest seeds the store
+//	        in-process, so its front starts warm)
 //	warm    Zipf-distributed reads over the key set for -duration —
 //	        the steady state the p99 < a-few-ms target applies to
 //	notmod  warm reads carrying If-None-Match with the correct ETag —
@@ -175,7 +177,7 @@ func main() {
 
 	client := newClient(*conns, *reqTimeout)
 
-	// cold: every key once, front empty — fills the byte cache.
+	// cold: every key once — fills the store's memory front from disk.
 	fmt.Fprintf(os.Stderr, "cmmload: cold pass over %d keys ... ", len(hashes))
 	cold := runPhase("cold", *conns, 0, len(hashes), func(_ int) func(int) request {
 		return func(i int) request {

@@ -10,10 +10,10 @@
 //	curl -s localhost:8090/v1/jobs/<id>
 //	curl -s localhost:8090/v1/jobs/<id>/result?format=csv
 //
-// Finished results are also served content-addressed on the read path:
+// Finished results live in one place, the run store, content-addressed:
 // every job status carries a result_hash, GET /v1/results/<hash> returns
-// the memoized bytes sub-millisecond from an in-memory front (-read-cache
-// entries) with a strong ETag for If-None-Match revalidation, and
+// the memoized bytes sub-millisecond from the store's in-memory front
+// with a strong ETag for If-None-Match revalidation, and
 // POST /v1/results/lookup maps a config to its hash server-side, serving
 // the cached result or enqueuing the compute (?wait= blocks briefly).
 //
@@ -21,10 +21,12 @@
 // least-recently-used entries past either limit are evicted on a -sweep
 // interval (jittered so a cluster doesn't sweep in lockstep), and
 // /metrics reports cmm_store_evictions_total alongside the disk gauges.
+// A done job whose result was evicted answers 410 on its result
+// endpoint; POST /v1/results/lookup recomputes it from the stored runs.
 // -pprof mounts net/http/pprof at /debug/pprof/ for live profiling.
 //
-// Jobs always live in a jobstore: <store>/jobs with -store, or a
-// temporary directory (removed after the drain) without it. Several
+// Without -store, the run store and the jobstore share one temporary
+// directory, laid out as with -store and removed after the drain. Several
 // cmmserve processes pointed at the same -store form a coordinator-free
 // cluster. Workers claim jobs through atomic leases, heartbeat while
 // running, retry failures with exponential backoff up to -max-attempts,
@@ -63,11 +65,10 @@ import (
 func main() {
 	var (
 		listen        = flag.String("listen", ":8090", "HTTP listen address")
-		storeDir      = flag.String("store", "", "content-addressed run store directory; jobs live in <store>/jobs (empty: in-memory cache, jobs in a temporary directory)")
+		storeDir      = flag.String("store", "", "content-addressed run store directory holding run and job results; jobs live in <store>/jobs (empty: a temporary directory, removed after the drain)")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "evict least-recently-used store entries past this disk size (0 = unlimited)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "evict store entries unused for longer than this (0 = unlimited)")
 		sweepEvery    = flag.Duration("sweep", 10*time.Minute, "how often to enforce the store limits (jittered ±10% so workers sharing a store don't sweep in lockstep)")
-		readCache     = flag.Int("read-cache", 0, "read-path byte-cache capacity in entries (0 = default)")
 		pprofOn       = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		jobs          = flag.Int("jobs", 1, "jobs executing concurrently")
 		queue         = flag.Int("queue", 16, "max queued jobs before submissions get 503")
@@ -90,7 +91,18 @@ func main() {
 	)
 	flag.Parse()
 
-	store, err := runstore.Open(*storeDir,
+	// Without -store, a private temporary directory stands in for it, so
+	// results stay on disk rather than in a bounded memory front, and it
+	// goes away after the drain.
+	root := *storeDir
+	if root == "" {
+		var err error
+		if root, err = os.MkdirTemp("", "cmmserve-*"); err != nil {
+			fatal(err)
+		}
+		defer os.RemoveAll(root)
+	}
+	store, err := runstore.Open(root,
 		runstore.WithMaxBytes(*storeMaxBytes), runstore.WithMaxAge(*storeMaxAge))
 	if err != nil {
 		fatal(err)
@@ -98,15 +110,8 @@ func main() {
 
 	// Jobs live beside the run store: any cmmserve process pointed at the
 	// same -store forms a fault-tolerant cluster with this one, claiming
-	// jobs through atomic leases. Without -store they live in a private
-	// temporary directory that goes away after the drain.
-	jobsDir := filepath.Join(*storeDir, "jobs")
-	if *storeDir == "" {
-		if jobsDir, err = os.MkdirTemp("", "cmmserve-jobs-*"); err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(jobsDir)
-	}
+	// jobs through atomic leases.
+	jobsDir := filepath.Join(root, "jobs")
 	jopts := []jobstore.Option{jobstore.WithTTL(*leaseTTL)}
 	if *workerID != "" {
 		jopts = append(jopts, jobstore.WithWorker(*workerID))
@@ -173,17 +178,13 @@ func main() {
 		MaxAttempts:    *maxAttempts,
 		AttemptTimeout: *attemptTimeout,
 		ScanInterval:   *scanEvery,
-
-		ReadCacheEntries: *readCache,
 	})
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
-	if *storeDir != "" {
-		fmt.Printf("cmmserve: run store at %s\n", store.Dir())
-	}
+	fmt.Printf("cmmserve: run store at %s\n", store.Dir())
 	fmt.Printf("cmmserve: listening on http://%s (POST /v1/jobs)\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -3,27 +3,28 @@
 // cluster. Every submitted job is persisted as a JSON record next to the
 // content-addressed run store; any worker may claim a queued job by
 // atomically creating its lease file, renews the lease while it runs
-// (heartbeat), and writes the result and terminal state under that
-// lease. A worker that dies mid-job simply stops renewing: once the
-// lease deadline passes, any surviving worker reaps it — atomically, via
-// a rename only one reaper can win — and requeues the job with its
-// attempt count bumped. Delivery is therefore at-least-once; results are
-// exactly-once because the result file is created exclusively and run
-// results are content-addressed (a re-execution recomputes bit-identical
-// bytes or is served from the run store).
+// (heartbeat), and writes the terminal state under that lease. A worker
+// that dies mid-job simply stops renewing: once the lease deadline
+// passes, any surviving worker reaps it — atomically, via a rename only
+// one reaper can win — and requeues the job with its attempt count
+// bumped. Delivery is therefore at-least-once; results are exactly-once
+// because they are content-addressed (a re-execution recomputes
+// bit-identical bytes or is served from the run store, which holds the
+// only copy under the record's ResultHash) and the fenced done
+// transition is written once, by the leaseholder.
 //
 // File layout under the store directory (extensions deliberately not
 // .json so the run store's sweeps and disk gauges never touch them):
 //
 //	<id>.job    the job record: request, state, attempts, error history
 //	<id>.lease  present while a worker owns the job (worker id, deadline)
-//	<id>.result the terminal result payload, created exclusively once
 //	<id>.cancel a durable cancel request: any worker may create it; the
 //	            leaseholder observes it on its next heartbeat and aborts,
 //	            and Claim refuses flagged queued records
 //
-// A record is all the state a job has: servers answer every status,
-// listing and result question from it. Besides the request, state and
+// A record is all the state a job has: servers answer every status and
+// listing question from it, and find a done job's result in the run
+// store under its ResultHash. Besides the request, state and
 // attempt history it carries the result's content address (ResultHash,
 // set at Enqueue), when the latest execution started (StartedAt, set by
 // MarkRunning) and how far it got (Progress); a terminal record's
@@ -67,7 +68,7 @@ var (
 	ErrLeaseHeld = errors.New("jobstore: lease held by another worker")
 	// ErrLeaseLost means this worker's lease was reaped (it expired and
 	// another worker took the job over). The holder must stop working on
-	// the job and must not write its record or result.
+	// the job and must not write its record.
 	ErrLeaseLost = errors.New("jobstore: lease lost")
 	// ErrNotClaimable means the record is not in a claimable state
 	// (terminal, canceled, or its retry backoff has not elapsed).
@@ -247,7 +248,6 @@ func (s *Store) TTL() time.Duration { return s.ttl }
 
 func (s *Store) recordPath(id string) string { return filepath.Join(s.dir, id+".job") }
 func (s *Store) leasePath(id string) string  { return filepath.Join(s.dir, id+".lease") }
-func (s *Store) resultPath(id string) string { return filepath.Join(s.dir, id+".result") }
 func (s *Store) cancelPath(id string) string { return filepath.Join(s.dir, id+".cancel") }
 
 // writeRecord persists rec atomically (faultinject.WriteFileAtomic).
@@ -326,11 +326,10 @@ func (s *Store) List() ([]*Record, error) {
 	return recs, nil
 }
 
-// Delete removes a job's record, lease, cancel flag, and result
-// (best-effort; used when admission fails after the record was persisted).
+// Delete removes a job's record, lease and cancel flag (best-effort; used
+// when admission fails after the record was persisted).
 func (s *Store) Delete(id string) {
 	s.fsys.Remove(s.leasePath(id))
-	s.fsys.Remove(s.resultPath(id))
 	s.fsys.Remove(s.cancelPath(id))
 	s.fsys.Remove(s.recordPath(id))
 }
@@ -472,17 +471,14 @@ func (s *Store) MarkRunning(l *Lease, rec *Record) error {
 	return s.writeRecord(rec)
 }
 
-// Complete writes the job's result exactly once and marks the record
-// done, then releases the lease. A lease that was reaped meanwhile
-// yields ErrLeaseLost and writes nothing. A result file that already
-// exists (a previous owner won the race to finish) is not overwritten;
-// the record is still marked done.
-func (s *Store) Complete(l *Lease, rec *Record, result []byte) error {
+// Complete marks the record done under the lease, then releases the
+// lease. It stores no result: the caller puts the result bytes into the
+// run store under rec.ResultHash first, so a done record never precedes
+// its bytes. A lease that was reaped meanwhile yields ErrLeaseLost and
+// writes nothing.
+func (s *Store) Complete(l *Lease, rec *Record) error {
 	if err := l.verify(); err != nil {
 		return err
-	}
-	if err := s.fsys.CreateExclusive(s.resultPath(rec.ID), result, 0o644); err != nil && !errors.Is(err, fs.ErrExist) {
-		return fmt.Errorf("jobstore: write result %s: %w", rec.ID, err)
 	}
 	rec.State = StateDone
 	rec.Worker = s.worker
@@ -633,18 +629,6 @@ func (s *Store) CancelUnderLease(l *Lease, rec *Record, reason string) error {
 	s.fsys.Remove(s.leasePath(rec.ID))
 	s.fsys.Remove(s.cancelPath(rec.ID))
 	return nil
-}
-
-// Result returns the job's terminal result payload.
-func (s *Store) Result(id string) ([]byte, error) {
-	data, err := s.fsys.ReadFile(s.resultPath(id))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNotFound
-		}
-		return nil, fmt.Errorf("jobstore: read result: %w", err)
-	}
-	return data, nil
 }
 
 // ReapExpired checks a running record's lease and, when it has expired

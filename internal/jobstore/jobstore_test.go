@@ -31,11 +31,11 @@ func twoWorkers(t *testing.T) (a, b *Store, clock *faultinject.FakeClock) {
 
 func TestLeaseEnqueueClaimCompleteRoundtrip(t *testing.T) {
 	a, b, _ := twoWorkers(t)
-	rec, err := a.Enqueue("job-1", []byte(`{"kind":"comparison"}`), 3)
+	rec, err := a.Enqueue("job-1", []byte(`{"kind":"comparison"}`), 3, "hash-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.State != StateQueued || rec.MaxAttempts != 3 {
+	if rec.State != StateQueued || rec.MaxAttempts != 3 || rec.ResultHash != "hash-1" {
 		t.Fatalf("enqueued record %+v", rec)
 	}
 
@@ -55,16 +55,12 @@ func TestLeaseEnqueueClaimCompleteRoundtrip(t *testing.T) {
 		t.Fatalf("concurrent claim = %v, want ErrLeaseHeld", err)
 	}
 
-	if err := a.Complete(l, rec, []byte(`{"answer":42}`)); err != nil {
+	if err := a.Complete(l, rec); err != nil {
 		t.Fatal(err)
 	}
 	got, err := b.Get("job-1")
-	if err != nil || got.State != StateDone {
-		t.Fatalf("after complete: %+v, %v", got, err)
-	}
-	res, err := b.Result("job-1")
-	if err != nil || string(res) != `{"answer":42}` {
-		t.Fatalf("result = %s, %v", res, err)
+	if err != nil || got.State != StateDone || got.Worker != "w-a" || got.Attempt != 1 || got.ResultHash != "hash-1" {
+		t.Fatalf("after complete: %+v, %v; want done by w-a on attempt 1 under hash-1", got, err)
 	}
 	// Terminal records are not claimable.
 	if _, err := b.Claim("job-1"); !errors.Is(err, ErrNotClaimable) {
@@ -121,18 +117,20 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 	if err := b.MarkRunning(lb, brec); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Complete(l, brec, []byte(`{"stale":true}`)); !errors.Is(err, ErrLeaseLost) {
+	if err := a.Complete(l, brec); !errors.Is(err, ErrLeaseLost) {
 		t.Errorf("dead worker complete = %v, want ErrLeaseLost", err)
+	}
+	if got, _ := b.Get("job-1"); got.State != StateRunning || got.Worker != "w-b" {
+		t.Errorf("after the stale complete: state %q by %q, want running by w-b", got.State, got.Worker)
 	}
 	if brec.Attempt != 2 {
 		t.Errorf("takeover attempt = %d, want 2", brec.Attempt)
 	}
-	if err := b.Complete(lb, brec, []byte(`{"ok":true}`)); err != nil {
+	if err := b.Complete(lb, brec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := b.Result("job-1")
-	if string(res) != `{"ok":true}` {
-		t.Errorf("result = %s, want the live worker's", res)
+	if got, _ := b.Get("job-1"); got.State != StateDone || got.Worker != "w-b" || got.Attempt != 2 {
+		t.Errorf("done record %+v, want the live worker's (w-b, attempt 2)", got)
 	}
 }
 
@@ -444,13 +442,10 @@ func TestLeaseDeleteRemovesEverything(t *testing.T) {
 	rec, _ := a.Enqueue("job-1", []byte(`{}`), 3)
 	l, _ := a.Claim("job-1")
 	a.MarkRunning(l, rec)
-	a.Complete(l, rec, []byte(`{}`))
+	a.Complete(l, rec)
 	a.Delete("job-1")
 	if _, err := a.Get("job-1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get after delete = %v, want ErrNotFound", err)
-	}
-	if _, err := a.Result("job-1"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Result after delete = %v, want ErrNotFound", err)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestFaultInjectTornWriteQuarantined(t *testing.T) {
 
 // TestFaultInjectSweepSkipsJobFiles pins the extension contract between
 // the run store and the job store: Sweep and DiskUsage must ignore the
-// .job/.lease/.result files a co-located jobstore keeps in the tree.
+// .job/.lease/.cancel files a co-located jobstore keeps in the tree.
 func TestFaultInjectSweepSkipsJobFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithMaxBytes(1)) // evict everything sweepable
@@ -168,7 +168,7 @@ func TestFaultInjectSweepSkipsJobFiles(t *testing.T) {
 	if err := os.MkdirAll(jobs, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"j1.job", "j1.lease", "j1.result"} {
+	for _, name := range []string{"j1.job", "j1.lease", "j1.cancel"} {
 		if err := os.WriteFile(filepath.Join(jobs, name), []byte(`{"x":1}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestFaultInjectSweepSkipsJobFiles(t *testing.T) {
 	if _, err := s.Sweep(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"j1.job", "j1.lease", "j1.result"} {
+	for _, name := range []string{"j1.job", "j1.lease", "j1.cancel"} {
 		if _, err := os.Stat(filepath.Join(jobs, name)); err != nil {
 			t.Errorf("sweep removed job file %s: %v", name, err)
 		}

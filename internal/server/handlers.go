@@ -180,16 +180,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s is %s, result requires done", rec.ID, rec.State)
 		return
 	}
-	raw, ok := s.readResult(rec.ResultHash)
+	// The bytes live only in the run store, under the hash the read path
+	// also serves, so both endpoints answer byte-identical payloads. A
+	// store bounded by age or size (or a memory-only one) may have dropped
+	// them; the config recomputes them, mostly from stored runs.
+	raw, ok := s.cfg.Store.Get(rec.ResultHash)
 	if !ok {
-		var err error
-		if raw, err = s.cfg.Jobs.Result(rec.ID); err != nil {
-			httpError(w, http.StatusInternalServerError, "job %s has no result payload", rec.ID)
-			return
-		}
+		httpError(w, http.StatusGone,
+			"result %s of job %s was evicted from the run store; POST the job's config to /v1/results/lookup to recompute it",
+			rec.ResultHash, rec.ID)
+		return
 	}
-	// The bytes are the canonical rendering the read path also serves, so
-	// both endpoints answer byte-identical payloads.
 	s.serveResultBytes(w, r, rec.ResultHash, raw)
 }
 
@@ -283,10 +284,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "cmm_jobs{state=%q} %d\n", st, counts[i])
 	}
 	fmt.Fprintf(w, "cmm_queue_depth %d\n", s.queue.depth())
-	fmt.Fprintf(w, "cmm_readcache_entries %d\n", s.reads.len())
-	fmt.Fprintf(w, "cmm_readcache_hits_total %d\n", s.reads.hits.Load())
-	fmt.Fprintf(w, "cmm_readcache_misses_total %d\n", s.reads.misses.Load())
-	fmt.Fprintf(w, "cmm_readcache_evictions_total %d\n", s.reads.evictions.Load())
 	if entries, bytes, err := s.cfg.Store.DiskUsage(); err == nil {
 		fmt.Fprintf(w, "cmm_store_disk_entries %d\n", entries)
 		fmt.Fprintf(w, "cmm_store_disk_bytes %d\n", bytes)

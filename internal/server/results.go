@@ -40,21 +40,6 @@ func validResultHash(h string) bool {
 	return true
 }
 
-// readResult fetches the canonical result bytes for key through the
-// serving tier: readcache front first, then the run store (filling the
-// front on the way back). Callers must not mutate the returned bytes.
-func (s *Server) readResult(key string) ([]byte, bool) {
-	if b, ok := s.reads.get(key); ok {
-		return b, true
-	}
-	b, ok := s.cfg.Store.Get(key)
-	if !ok {
-		return nil, false
-	}
-	s.reads.put(key, b)
-	return b, true
-}
-
 // etagMatches reports whether an If-None-Match header value matches
 // etag. Only the forms clients actually send are handled: "*", a single
 // tag, or a comma-separated list of (possibly weak) tags.
@@ -123,7 +108,7 @@ func resultWait(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// awaitResult polls the serving tier for key until the bytes appear,
+// awaitResult polls the run store for key until the bytes appear,
 // the deadline passes, the request is abandoned, or the optional job id
 // driving the compute ends failed or canceled without publishing. It
 // reports the bytes (ok) or that job's ended record (nil otherwise).
@@ -137,7 +122,7 @@ func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, id
 			return nil, false, nil
 		case <-t.C:
 		}
-		if b, ok := s.readResult(key); ok {
+		if b, ok := s.cfg.Store.Get(key); ok {
 			return b, true, nil
 		}
 		if id != "" {
@@ -160,11 +145,11 @@ func (s *Server) lookupJobFor(key string) string {
 }
 
 // handleGetResult is GET /v1/results/{hash}: the sub-millisecond read
-// path. A warm request costs one readcache shard mutex; a cold one
-// falls through to the run store and warms the front. The hash is not
-// invertible, so a miss cannot trigger a compute here — 404 points the
-// client at POST /v1/results/lookup, and ?wait= blocks for a result
-// another request (or cluster worker) is already producing.
+// path, answered by the run store: a warm request costs its LRU mutex, a
+// cold one reads the disk body. The hash is not invertible, so a miss
+// cannot trigger a compute here — 404 points the client at
+// POST /v1/results/lookup, and ?wait= blocks for a result another
+// request (or cluster worker) is already producing.
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	hash := strings.ToLower(r.PathValue("hash"))
 	if !validResultHash(hash) {
@@ -176,7 +161,7 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if b, ok := s.readResult(hash); ok {
+	if b, ok := s.cfg.Store.Get(hash); ok {
 		s.cfg.Counters.ReadHit()
 		s.serveResultBytes(w, r, hash, b)
 		return
@@ -232,7 +217,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := j.resultKey
-	if b, ok := s.readResult(key); ok {
+	if b, ok := s.cfg.Store.Get(key); ok {
 		s.cfg.Counters.ReadHit()
 		s.serveResultBytes(w, r, key, b)
 		return

@@ -420,3 +420,106 @@ func TestResultPublishedOnlyWhenMissing(t *testing.T) {
 		t.Errorf("rewritten entry differs from the job's result (%d vs %d bytes)", len(got), len(res))
 	}
 }
+
+// TestHotResultSurvivesAgeSweep is the read-path/sweeper regression test
+// at the server level: a result read through GET /v1/results/{hash} must
+// refresh its run-store entry, so a hot result is not deleted by an age
+// sweep while it is being served. The clock is fake but anchored at the
+// real time so the store's real file mtimes and the fake ages agree.
+func TestHotResultSurvivesAgeSweep(t *testing.T) {
+	clk := faultinject.NewFakeClock(time.Now())
+	store, err := runstore.Open(t.TempDir(), runstore.WithMaxAge(time.Hour), runstore.WithClock(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := tinyServer(t, Config{
+		Store: store,
+		execute: func(ctx context.Context, j *job) (any, error) {
+			return map[string]string{"job": j.id}, nil
+		},
+	})
+	st := postJob(t, ts, `{"preset":"tiny","policies":["PT"]}`)
+	awaitState(t, ts, st.ID, StateDone)
+	read := func() {
+		t.Helper()
+		if code, _, body := getRaw(t, ts.URL+"/v1/results/"+st.ResultHash, nil); code != http.StatusOK {
+			t.Fatalf("GET result: status %d: %s", code, body)
+		}
+	}
+
+	read()
+	clk.Advance(35 * time.Minute) // past the store's touch window (max-age/8)
+	read()
+	clk.Advance(30 * time.Minute) // 65 minutes since the write, 30 since the read
+	if _, err := store.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), st.ResultHash[:2], st.ResultHash+".json")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("a result read 30 minutes before the sweep was swept: %v", err)
+	}
+	read()
+}
+
+// TestEvictedResultAnswersGone follows a done job whose result the run
+// store no longer holds: its result endpoint answers 410 pointing at the
+// lookup, the lookup recomputes the result from the stored runs alone,
+// and the job's result endpoint then serves the original bytes again.
+func TestEvictedResultAnswersGone(t *testing.T) {
+	clk := faultinject.NewFakeClock(time.Now())
+	// A one-entry memory front: an entry outlives the next Get only on disk.
+	store, err := runstore.Open(t.TempDir(), runstore.WithMaxAge(time.Hour),
+		runstore.WithClock(clk), runstore.WithMemoryEntries(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := tinyServer(t, Config{Store: store})
+	const body = `{"kind":"comparison","preset":"tiny","policies":["PT"]}`
+	st := postJob(t, ts, body)
+	awaitState(t, ts, st.ID, StateDone)
+	resultFile := filepath.Join(store.Dir(), st.ResultHash[:2], st.ResultHash+".json")
+	first, err := os.ReadFile(resultFile)
+	if err != nil {
+		t.Fatalf("done job's result is not in the run store: %v", err)
+	}
+
+	// 35 minutes in, other jobs read every stored run, but nobody reads
+	// the result.
+	clk.Advance(35 * time.Minute)
+	var runs int
+	err = filepath.WalkDir(store.Dir(), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" || path == resultFile {
+			return err
+		}
+		if _, ok := store.Get(strings.TrimSuffix(d.Name(), ".json")); !ok {
+			t.Errorf("stored run %s unreadable", d.Name())
+		}
+		runs++
+		return nil
+	})
+	if err != nil || runs == 0 {
+		t.Fatalf("walked %d stored runs: %v", runs, err)
+	}
+	clk.Advance(30 * time.Minute)
+	if n, err := store.Sweep(); err != nil || n != 1 {
+		t.Fatalf("Sweep evicted %d entries (%v), want 1: the result", n, err)
+	}
+
+	code, _, gone := getRaw(t, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
+	if code != http.StatusGone || !strings.Contains(string(gone), "/v1/results/lookup") {
+		t.Fatalf("result of an evicted job: status %d: %s; want 410 pointing at the lookup", code, gone)
+	}
+
+	computes := store.Stats().Computes
+	code, _, again := postLookup(t, ts, "?wait=60s", body)
+	if code != http.StatusOK || !bytes.Equal(again, first) {
+		t.Fatalf("lookup: status %d, %d bytes; want 200 and the first run's %d bytes", code, len(again), len(first))
+	}
+	if n := store.Stats().Computes - computes; n != 0 {
+		t.Errorf("the recompute simulated %d runs, want 0 (every run a store hit)", n)
+	}
+	code, _, after := getRaw(t, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
+	if code != http.StatusOK || !bytes.Equal(after, first) {
+		t.Fatalf("result after the recompute: status %d, %d bytes; want 200 and the first run's %d bytes", code, len(after), len(first))
+	}
+}

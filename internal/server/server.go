@@ -23,8 +23,11 @@ import (
 
 // Config sizes the job service.
 type Config struct {
-	// Store memoizes run results across jobs and backs the read path
-	// (required; runstore.Open("") keeps it in memory).
+	// Store memoizes run results across jobs and holds the one copy of
+	// every finished job's result, which the read path and the job result
+	// endpoint serve (required). A memory-only store (runstore.Open(""))
+	// loses results past its LRU capacity, and an age or size limit
+	// sweeps them from disk; a done job whose result is gone answers 410.
 	Store *runstore.Store
 	// Jobs is the durable, lease-based job layer (required). When several
 	// server processes share one jobs directory they form a cluster: any
@@ -64,12 +67,6 @@ type Config struct {
 	// ScanInterval is how often the durable-job scanner looks for
 	// requeued work and expired leases (default TTL/3, floor 50ms).
 	ScanInterval time.Duration
-	// ReadCacheEntries sizes the read path's in-memory byte-cache front
-	// (entries, not bytes; default DefaultReadCacheEntries). The cache
-	// holds canonical result bytes keyed by content hash, so warm
-	// GET /v1/results/{hash} requests cost one shard mutex and no store
-	// traffic.
-	ReadCacheEntries int
 
 	// execute substitutes the job execution function. Tests install stubs
 	// here so the stub is in place before the scanner can push durable
@@ -176,9 +173,6 @@ type Server struct {
 	// last pass saw; /metrics reports it without walking any jobs.
 	counts atomic.Pointer[[len(jobStates)]int]
 
-	// reads is the serving tier's byte-cache front over cfg.Store.
-	reads *readCache
-
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
@@ -206,7 +200,6 @@ func New(cfg Config) *Server {
 		queue:    newJobQueue(cfg.QueueDepth),
 		local:    map[string]*job{},
 		lookups:  map[string]string{},
-		reads:    newReadCache(cfg.ReadCacheEntries),
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
 	}
@@ -763,28 +756,26 @@ func (s *Server) run(j *job) {
 	}
 }
 
-// finishDone writes the job's successful terminal state, durably first.
-// The canonical result bytes are written to the durable job record and
-// published to the run store and readcache under the job's
-// content-address, so the job endpoint and the read path serve
-// byte-identical payloads. A durable write that fails for any reason but
-// a lost lease is a failed attempt.
+// finishDone stores the job's canonical result bytes in the run store
+// under the job's content-address, then writes the done record, so a
+// done record always comes after its bytes and the job endpoint and the
+// read path serve the same payload. A record write that fails for any
+// reason but a lost lease is a failed attempt.
 func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record, raw []byte) {
-	if err := s.cfg.Jobs.Complete(lease, rec, raw); err != nil {
+	// The key is content-addressed, so an entry already in the store holds
+	// these bytes and is not rewritten; a missing entry is written, and so
+	// is a corrupt one, which Get quarantines and reports missing. A failed
+	// disk write (full disk, open breaker) is absorbed: the store's memory
+	// front still serves the bytes and its breaker counts the error.
+	if _, ok := s.cfg.Store.Get(j.resultKey); !ok {
+		s.cfg.Store.Put(j.resultKey, raw)
+	}
+	if err := s.cfg.Jobs.Complete(lease, rec); err != nil {
 		if !errors.Is(err, jobstore.ErrLeaseLost) {
 			s.finishFailedAttempt(j, lease, rec, err)
 		}
 		return
 	}
-	// The key is content-addressed, so an entry already in the store holds
-	// these bytes and is not rewritten; a missing entry is written, and so
-	// is a corrupt one, which Get quarantines and reports missing. A failed
-	// store write (full disk, open breaker) is absorbed: the readcache and
-	// the durable result still serve the bytes.
-	if _, ok := s.cfg.Store.Get(j.resultKey); !ok {
-		s.cfg.Store.Put(j.resultKey, raw)
-	}
-	s.reads.put(j.resultKey, raw)
 	s.clearLookup(j)
 }
 

@@ -348,7 +348,7 @@ type Counters struct {
 	jobsQuarantined atomic.Int64
 
 	// Read-path serving-tier counters, bumped directly by the results
-	// handlers: memoized results served (readcache or store), lookups
+	// handlers: memoized results served from the run store, lookups
 	// that found nothing cached, and conditional requests answered 304.
 	readHits        atomic.Int64
 	readMisses      atomic.Int64

@@ -19,9 +19,9 @@
 # be rejected — old model keeps serving, reload-error counters bump —
 # and a clean second promotion must swap both workers again.
 #
-# Phase 4 (lone server, no -store): a single cmmserve keeps its jobs in
-# a temporary jobstore under $TMPDIR, runs a small comparison job to
-# done, and after SIGTERM must leave no job directory behind.
+# Phase 4 (lone server, no -store): a single cmmserve keeps its run
+# store and jobs in a temporary directory under $TMPDIR, runs a small
+# comparison job to done, and after SIGTERM must leave nothing behind.
 #
 # Usage: scripts/two_worker_smoke.sh
 # Exits 0 on success; prints a FAIL line and exits 1 otherwise.
@@ -289,7 +289,7 @@ for i in $(seq 1 50); do
     [ "$i" = 50 ] && fail "lone worker did not become healthy"
     sleep 0.2
 done
-[ -n "$(ls -A "$WORK/tmp")" ] || fail "lone worker created no temporary jobstore under \$TMPDIR"
+[ -n "$(ls -A "$WORK/tmp")" ] || fail "lone worker created no temporary store directory under \$TMPDIR"
 
 curl -s "$A_URL/v1/jobs" \
     -d '{"kind":"comparison","preset":"quick","seeds":[5],"mixes_per_category":1,"policies":["PT"]}' \
@@ -312,5 +312,5 @@ kill -TERM "$A_PID"
 wait "$A_PID" || fail "lone worker exited non-zero after SIGTERM"
 A_PID=""
 [ -z "$(ls -A "$WORK/tmp")" ] || fail "lone worker left $(ls "$WORK/tmp") under \$TMPDIR after the drain"
-echo "PASS (phase 4): lone worker ran job $JOB4 to done and removed its temporary jobstore"
+echo "PASS (phase 4): lone worker ran job $JOB4 to done and removed its temporary store directory"
 echo "PASS: all four phases"
