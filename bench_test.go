@@ -354,17 +354,6 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFineGrained compares the paper's all-or-nothing PT with
-// the PT-fine extension (per-prefetcher greedy throttling).
-func BenchmarkAblationFineGrained(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, policy := range []string{"PT", "PT-fine"} {
-			ev := evaluateMix(b, mixes.PrefUnfri, policy)
-			b.ReportMetric(ev.NormWS, "ws_"+strings.ReplaceAll(policy, "-", "_"))
-		}
-	}
-}
-
 // trimFloat renders a sweep value as a metric-name suffix: 1.5 → "1p5",
 // 50 → "50".
 func trimFloat(f float64) string {

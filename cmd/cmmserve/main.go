@@ -63,6 +63,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "cmmserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole service; it returns instead of exiting so every
+// deferred clean-up, the temporary store root's removal included, runs
+// on a failed start too.
+func run() error {
 	var (
 		listen        = flag.String("listen", ":8090", "HTTP listen address")
 		storeDir      = flag.String("store", "", "content-addressed run store directory holding run and job results; jobs live in <store>/jobs (empty: a temporary directory, removed after the drain)")
@@ -98,14 +108,14 @@ func main() {
 	if root == "" {
 		var err error
 		if root, err = os.MkdirTemp("", "cmmserve-*"); err != nil {
-			fatal(err)
+			return err
 		}
 		defer os.RemoveAll(root)
 	}
 	store, err := runstore.Open(root,
 		runstore.WithMaxBytes(*storeMaxBytes), runstore.WithMaxAge(*storeMaxAge))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// Jobs live beside the run store: any cmmserve process pointed at the
@@ -118,7 +128,7 @@ func main() {
 	}
 	jstore, err := jobstore.Open(jobsDir, jopts...)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("cmmserve: durable jobs at %s (worker %s, lease ttl %s)\n",
 		jstore.Dir(), jstore.Worker(), *leaseTTL)
@@ -131,7 +141,7 @@ func main() {
 	if *modelDir != "" {
 		reg, err := learn.OpenRegistry(*modelDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		drift := cmm.DriftConfig{
 			Window:         *driftWin,
@@ -153,7 +163,7 @@ func main() {
 	if *eventLog != "" {
 		f, err := os.OpenFile(*eventLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		jsonl := telemetry.NewJSONLSink(f)
 		async := telemetry.NewAsyncSink(jsonl, 4096)
@@ -164,6 +174,13 @@ func main() {
 		}()
 		eventSink = async
 		fmt.Printf("cmmserve: appending telemetry events to %s\n", *eventLog)
+	}
+
+	// Bind before server.New starts the worker pool and the scanner, so a
+	// taken port fails the start with nothing running.
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
 	}
 
 	srv := server.New(server.Config{
@@ -180,10 +197,6 @@ func main() {
 		ScanInterval:   *scanEvery,
 	})
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatal(err)
-	}
 	fmt.Printf("cmmserve: run store at %s\n", store.Dir())
 	fmt.Printf("cmmserve: listening on http://%s (POST /v1/jobs)\n", ln.Addr())
 
@@ -223,9 +236,5 @@ func main() {
 	}
 	st := store.Stats()
 	fmt.Printf("cmmserve: drained; store served %d hits / %d misses\n", st.Hits, st.Misses)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cmmserve:", err)
-	os.Exit(1)
+	return nil
 }

@@ -7,7 +7,6 @@
 //	cmmtrain runs.jsonl more-runs/           # train from recorded telemetry
 //	cmmtrain -synth                          # synthesize a corpus from quick
 //	                                         # CMM-a sweeps, then train
-//	cmmtrain -kind logit -out logit.json     # the linear baseline
 //	cmmtrain -eval -artifact TRAIN_cmml.json # A/B sweep CMM-a vs CMM-L,
 //	                                         # machine-readable evidence
 //	cmmtrain -quick -selftest                # CI smoke: full pipeline with
@@ -51,7 +50,6 @@ import (
 func main() {
 	var (
 		out         = flag.String("out", "model.json", "model output path")
-		kind        = flag.String("kind", "best", "model kind: tree, logit, or best (train both, keep the higher holdout accuracy)")
 		seed        = flag.Int64("seed", 1, "holdout-shuffle seed (the whole pipeline is deterministic given the corpus and this seed)")
 		holdout     = flag.Float64("holdout", 0.2, "holdout fraction for the accuracy report")
 		labelPolicy = flag.String("policy", "CMM-a", "policy whose sampled decisions label the corpus")
@@ -114,7 +112,6 @@ func main() {
 	}
 
 	art := &trainArtifact{
-		Kind:        *kind,
 		LabelPolicy: *labelPolicy,
 		Seed:        *seed,
 		Metrics:     map[string]learn.Metrics{},
@@ -147,11 +144,11 @@ func main() {
 	art.Examples = len(exs)
 
 	// 2. Train.
-	model, err := train(exs, *kind, *seed, *holdout, *labelPolicy, art)
+	model, err := train(exs, *seed, *holdout, *labelPolicy, art)
 	if err != nil {
 		fatal(err)
 	}
-	art.ChosenKind = model.Kind
+	art.Kind = model.Kind
 	art.Fingerprint = model.Fingerprint()
 	met := art.Metrics[model.Kind]
 	fmt.Printf("model: kind=%s fingerprint=%s holdout accuracy=%.3f (base rate %.3f) pos recall=%.3f precision=%.3f\n",
@@ -269,13 +266,12 @@ func main() {
 type trainArtifact struct {
 	ModelPath   string                   `json:"model_path"`
 	Fingerprint string                   `json:"fingerprint"`
-	Kind        string                   `json:"kind_requested"`
-	ChosenKind  string                   `json:"kind"`
+	Kind        string                   `json:"kind"`
 	LabelPolicy string                   `json:"label_policy"`
 	Seed        int64                    `json:"seed"`
 	Examples    int                      `json:"examples"`
 	Synthesized bool                     `json:"synthesized"`
-	Metrics     map[string]learn.Metrics `json:"metrics"` // per trained kind
+	Metrics     map[string]learn.Metrics `json:"metrics"` // keyed by model kind
 	Eval        *evalResult              `json:"eval,omitempty"`
 	// Promoted and RejectReason record the -promote/-retrain outcome:
 	// whether this model became the registry's current, or why it was
@@ -346,35 +342,20 @@ func synthesize(opts experiments.Options, labelPolicy string, seeds int) ([]lear
 	return learn.FilterPolicy(exs, labelPolicy), nil
 }
 
-// train fits the requested kind — or both, keeping the better holdout
-// accuracy, when kind is "best" — and records every fit's metrics.
-func train(exs []learn.Example, kind string, seed int64, holdout float64, labelPolicy string, art *trainArtifact) (*learn.Model, error) {
-	kinds := []string{kind}
-	if kind == "best" {
-		kinds = []string{learn.KindTree, learn.KindLogit}
+// train fits the tree model and records its holdout metrics.
+func train(exs []learn.Example, seed int64, holdout float64, labelPolicy string, art *trainArtifact) (*learn.Model, error) {
+	m, met, err := learn.Train(exs, learn.TrainParams{
+		Seed:        seed,
+		HoldoutFrac: holdout,
+		LabelPolicy: labelPolicy,
+	})
+	if err != nil {
+		return nil, err
 	}
-	var bestModel *learn.Model
-	var bestMet learn.Metrics
-	for _, k := range kinds {
-		m, met, err := learn.Train(exs, learn.TrainParams{
-			Kind:        k,
-			Seed:        seed,
-			HoldoutFrac: holdout,
-			LabelPolicy: labelPolicy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		art.Metrics[k] = met
-		fmt.Printf("train: %-5s holdout accuracy=%.3f pos recall=%.3f precision=%.3f (%d examples, %d held out)\n",
-			k, met.Accuracy, met.PosRecall, met.PosPrecision, met.Examples, met.Holdout)
-		// Strictly-better keeps the tie deterministic: tree wins ties
-		// because it trains first.
-		if bestModel == nil || met.Accuracy > bestMet.Accuracy {
-			bestModel, bestMet = m, met
-		}
-	}
-	return bestModel, nil
+	art.Metrics[m.Kind] = met
+	fmt.Printf("train: %s holdout accuracy=%.3f pos recall=%.3f precision=%.3f (%d examples, %d held out)\n",
+		m.Kind, met.Accuracy, met.PosRecall, met.PosPrecision, met.Examples, met.Holdout)
+	return m, nil
 }
 
 // evaluate A/B-runs the label policy against CMM-L on the comparison
@@ -481,9 +462,9 @@ func benchDecision(opts experiments.Options, model *learn.Model, ev *evalResult)
 // acceptance returns the selftest failures (empty = pass).
 func acceptance(art *trainArtifact, minAcc float64, labelPolicy string) []string {
 	var fails []string
-	met, ok := art.Metrics[art.ChosenKind]
+	met, ok := art.Metrics[art.Kind]
 	if !ok {
-		fails = append(fails, "no metrics for chosen kind")
+		fails = append(fails, "no metrics for the model's kind")
 		return fails
 	}
 	if met.Accuracy < minAcc {

@@ -623,72 +623,14 @@ func TestFakeTargetSanity(t *testing.T) {
 	}
 }
 
-func TestFinePTDisablesOnlyHarmfulBits(t *testing.T) {
-	// Core 0's prefetching is net-harmful (own off-IPC higher, victims
-	// penalized): the greedy search should disable all four bits.
-	ft := newFakeTarget([]fakeCore{
-		{ipcOn: 0.4, ipcOff: 0.8, aggressive: true, victimPenalty: 0.3},
-		{ipcOn: 1.0, ipcOff: 1.0},
-	})
-	c, err := NewController(DefaultConfig(), ft, FinePT{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RunEpochs(1); err != nil {
-		t.Fatal(err)
-	}
-	d := c.LastDecision()
-	if d.Policy != "PT-fine" {
-		t.Fatalf("policy %q", d.Policy)
-	}
-	if !containsInt(d.Disabled, 0) {
-		t.Fatalf("harmful core not fully disabled: %+v", d)
-	}
-	if ft.enabledFraction(0) != 0 {
-		t.Fatalf("core 0 still %.2f enabled", ft.enabledFraction(0))
-	}
-	// 1 probe + 4 bits for the single Agg core.
-	if d.SampledCombos != 5 {
-		t.Fatalf("sampled %d intervals, want 5", d.SampledCombos)
-	}
-}
-
-func TestFinePTKeepsHelpfulPrefetching(t *testing.T) {
-	ft := newFakeTarget([]fakeCore{
-		{ipcOn: 2.0, ipcOff: 0.5, aggressive: true},
-		{ipcOn: 1.0, ipcOff: 1.0},
-	})
-	c, _ := NewController(DefaultConfig(), ft, FinePT{})
-	if err := c.RunEpochs(1); err != nil {
-		t.Fatal(err)
-	}
-	if ft.enabledFraction(0) != 1 {
-		t.Fatalf("helpful prefetchers partially disabled: %.2f", ft.enabledFraction(0))
-	}
-	if len(c.LastDecision().Disabled) != 0 {
-		t.Fatalf("Disabled = %v", c.LastDecision().Disabled)
-	}
-}
-
-func TestFinePTEmptyAgg(t *testing.T) {
-	ft := newFakeTarget([]fakeCore{{ipcOn: 1, ipcOff: 1}})
-	c, _ := NewController(DefaultConfig(), ft, FinePT{})
-	if err := c.RunEpochs(1); err != nil {
-		t.Fatal(err)
-	}
-	if d := c.LastDecision(); d.SampledCombos != 1 || len(d.Disabled) != 0 {
-		t.Fatalf("decision %+v", d)
-	}
-}
-
 func TestExtensionPolicyLookup(t *testing.T) {
-	p, ok := PolicyByName("PT-fine")
-	if !ok || p.Name() != "PT-fine" {
-		t.Fatal("PT-fine not resolvable")
+	p, ok := PolicyByName("CP+BW")
+	if !ok || p.Name() != "CP+BW" {
+		t.Fatal("CP+BW not resolvable")
 	}
 	// The paper's canonical list stays unchanged.
 	for _, n := range PolicyNames() {
-		if n == "PT-fine" {
+		if n == "CP+BW" {
 			t.Fatal("extension leaked into the paper's policy list")
 		}
 	}

@@ -387,10 +387,9 @@ func Policies() []Policy {
 }
 
 // ExtensionPolicies returns back ends beyond the paper's evaluated set:
-// PT-fine (the per-prefetcher throttling variant the paper leaves as an
-// option) and the CBP three-way coordination policies CP+BW and CP+BW+PT.
+// the CBP three-way coordination policies CP+BW and CP+BW+PT.
 func ExtensionPolicies() []Policy {
-	return []Policy{FinePT{}, &CPBW{}, &CPBWPT{}}
+	return []Policy{&CPBW{}, &CPBWPT{}}
 }
 
 // PolicyByName returns the policy with the given report name, searching

@@ -63,7 +63,7 @@ func (f *fakeTarget) prefetchOn(cpu int) bool {
 }
 
 // enabledFraction returns the fraction of the core's four prefetchers that
-// are on, letting fine-grained throttling tests interpolate IPC.
+// are on; RunCycles interpolates each core's IPC by it.
 func (f *fakeTarget) enabledFraction(cpu int) float64 {
 	v, err := f.bank.Read(cpu, msr.MiscFeatureControl)
 	if err != nil {

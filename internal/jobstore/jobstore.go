@@ -21,6 +21,10 @@
 //	<id>.cancel a durable cancel request: any worker may create it; the
 //	            leaseholder observes it on its next heartbeat and aborts,
 //	            and Claim refuses flagged queued records
+//	<id>.reap.<grant>
+//	            held while one reaper takes over the expired lease grant
+//	            <grant>; removed when the takeover ends, or by List once
+//	            older than the TTL (a reaper that died mid-takeover)
 //
 // A record is all the state a job has: servers answer every status and
 // listing question from it, and find a done job's result in the run
@@ -32,8 +36,10 @@
 //
 // Record updates are temp-file+rename so readers never observe a torn
 // record; the lease claim is an exclusive create, and expired-lease
-// takeover renames the stale lease aside so exactly one reaper wins.
-// All I/O goes through the faultinject seam.
+// takeover is won by the exclusive create of the expired grant's reap
+// marker, so exactly one reaper replaces any one grant. Every lease write
+// is fenced on the holder's grant. All I/O goes through the faultinject
+// seam.
 package jobstore
 
 import (
@@ -128,9 +134,12 @@ func (r *Record) LastError() string {
 	return r.Errors[len(r.Errors)-1].Error
 }
 
-// leaseFile is the on-disk lease payload.
+// leaseFile is the on-disk lease payload. Grant names one grant of the
+// lease: Claim draws it at random and Renew keeps it, so a reaper can
+// tell the expired grant it judged from any lease written since.
 type leaseFile struct {
 	Worker   string    `json:"worker"`
+	Grant    string    `json:"grant"`
 	Granted  time.Time `json:"granted"`
 	Deadline time.Time `json:"deadline"`
 }
@@ -249,6 +258,9 @@ func (s *Store) TTL() time.Duration { return s.ttl }
 func (s *Store) recordPath(id string) string { return filepath.Join(s.dir, id+".job") }
 func (s *Store) leasePath(id string) string  { return filepath.Join(s.dir, id+".lease") }
 func (s *Store) cancelPath(id string) string { return filepath.Join(s.dir, id+".cancel") }
+func (s *Store) reapPath(id, grant string) string {
+	return filepath.Join(s.dir, id+".reap."+grant)
+}
 
 // writeRecord persists rec atomically (faultinject.WriteFileAtomic).
 func (s *Store) writeRecord(rec *Record) error {
@@ -304,7 +316,8 @@ func (s *Store) Get(id string) (*Record, error) {
 
 // List returns every record in the directory, oldest first. Records that
 // fail to parse are skipped (a torn record is unreadable only until its
-// writer's rename lands or its job is re-enqueued).
+// writer's rename lands or its job is re-enqueued). Reap markers older
+// than the TTL, left by a reaper that died mid-takeover, are removed.
 func (s *Store) List() ([]*Record, error) {
 	ents, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -313,7 +326,13 @@ func (s *Store) List() ([]*Record, error) {
 	var recs []*Record
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".job") {
+		if e.IsDir() {
+			continue
+		}
+		if !strings.HasSuffix(name, ".job") {
+			if strings.Contains(name, ".reap.") {
+				s.dropStaleMarker(filepath.Join(s.dir, name))
+			}
 			continue
 		}
 		rec, err := s.Get(strings.TrimSuffix(name, ".job"))
@@ -334,6 +353,19 @@ func (s *Store) Delete(id string) {
 	s.fsys.Remove(s.recordPath(id))
 }
 
+// dropStaleMarker removes the reap marker at path once it is older than
+// the TTL. A live takeover holds its marker for a few file operations.
+func (s *Store) dropStaleMarker(path string) {
+	data, err := s.fsys.ReadFile(path)
+	if err != nil {
+		return
+	}
+	var made time.Time
+	if json.Unmarshal(data, &made) == nil && s.clock.Now().Sub(made) > s.ttl {
+		s.fsys.Remove(path)
+	}
+}
+
 // Lease is a held claim on one job. The holder must Renew before the
 // deadline (heartbeat) and finish with Complete, Fail, Requeue, Cancel,
 // or Release.
@@ -341,13 +373,14 @@ type Lease struct {
 	store    *Store
 	JobID    string
 	Deadline time.Time
+	grant    string
 }
 
 // Claim attempts to take the lease on id. It succeeds when no lease
-// exists or the existing lease has expired (takeover: the stale lease is
-// renamed aside, so exactly one claimant wins). ErrLeaseHeld means a
-// live lease is in the way; ErrNotClaimable means the record is not
-// queued or its retry backoff has not elapsed.
+// exists or the existing lease has expired (takeover: exactly one
+// claimant wins each expired grant). ErrLeaseHeld means a live lease is
+// in the way; ErrNotClaimable means the record is not queued or its
+// retry backoff has not elapsed.
 func (s *Store) Claim(id string) (*Lease, error) {
 	rec, err := s.Get(id)
 	if err != nil {
@@ -371,39 +404,55 @@ func (s *Store) Claim(id string) (*Lease, error) {
 		return nil, ErrNotClaimable
 	}
 
-	deadline := now.Add(s.ttl)
-	payload, _ := json.Marshal(leaseFile{Worker: s.worker, Granted: now, Deadline: deadline})
+	lf := leaseFile{Worker: s.worker, Grant: fmt.Sprintf("%016x", mrand.Uint64()), Granted: now, Deadline: now.Add(s.ttl)}
+	payload, _ := json.Marshal(lf)
+	lease := &Lease{store: s, JobID: id, Deadline: lf.Deadline, grant: lf.Grant}
 	lp := s.leasePath(id)
 	err = s.fsys.CreateExclusive(lp, payload, 0o644)
 	if err == nil {
-		return &Lease{store: s, JobID: id, Deadline: deadline}, nil
+		return lease, nil
 	}
 	if !errors.Is(err, fs.ErrExist) {
 		return nil, fmt.Errorf("jobstore: claim %s: %w", id, err)
 	}
 
-	// A lease file exists. Read it; a live deadline means the job is
-	// owned. An unreadable or expired lease is reaped by renaming it to a
-	// worker-unique tombstone: the rename's source disappears for every
-	// other reaper, so exactly one wins the takeover.
-	data, rerr := s.fsys.ReadFile(lp)
-	if rerr == nil {
-		var lf leaseFile
-		if json.Unmarshal(data, &lf) == nil && now.Before(lf.Deadline) {
-			return nil, ErrLeaseHeld
-		}
-	} else if !os.IsNotExist(rerr) {
-		return nil, ErrLeaseHeld // can't prove it expired; be conservative
+	// A lease file exists; a live one means the job is owned. An expired
+	// grant goes to the one reaper that exclusively creates its marker.
+	// The winner re-reads the lease before replacing it, so a reaper that
+	// judged an older grant never replaces the lease written since.
+	old, ok := s.expiredGrant(id, now)
+	if !ok {
+		return nil, ErrLeaseHeld
 	}
-	tomb := lp + ".reaped." + s.worker + fmt.Sprintf(".%08x", mrand.Uint32())
-	if err := s.fsys.Rename(lp, tomb); err != nil {
-		return nil, ErrLeaseHeld // another reaper won (or transient I/O; retry later)
+	marker := s.reapPath(id, old)
+	made, _ := json.Marshal(now)
+	if err := s.fsys.CreateExclusive(marker, made, 0o644); err != nil {
+		return nil, ErrLeaseHeld // another reaper is taking this grant over
 	}
-	s.fsys.Remove(tomb)
-	if err := s.fsys.CreateExclusive(lp, payload, 0o644); err != nil {
-		return nil, ErrLeaseHeld // raced with a fresh claimant after our reap
+	defer s.fsys.Remove(marker)
+	if again, ok := s.expiredGrant(id, s.clock.Now()); !ok || again != old {
+		return nil, ErrLeaseHeld // renewed or replaced since we read it
 	}
-	return &Lease{store: s, JobID: id, Deadline: deadline}, nil
+	if err := faultinject.WriteFileAtomic(s.fsys, lp, payload, 0o644); err != nil {
+		return nil, fmt.Errorf("jobstore: claim %s: %w", id, err)
+	}
+	return lease, nil
+}
+
+// expiredGrant returns the grant of id's lease when that lease has
+// expired at now. An unparsable lease counts as expired, with the empty
+// grant. ok is false for a live lease, and for one that cannot be read:
+// a lease that vanished, or trouble proving it expired.
+func (s *Store) expiredGrant(id string, now time.Time) (grant string, ok bool) {
+	data, err := s.fsys.ReadFile(s.leasePath(id))
+	if err != nil {
+		return "", false
+	}
+	var lf leaseFile
+	if json.Unmarshal(data, &lf) != nil {
+		return "", true
+	}
+	return lf.Grant, !now.Before(lf.Deadline)
 }
 
 // readLease loads and parses the lease file for id.
@@ -419,13 +468,14 @@ func (s *Store) readLease(id string) (*leaseFile, error) {
 	return &lf, nil
 }
 
-// Renew extends the lease deadline by the store's TTL — the heartbeat.
-// ErrLeaseLost means the lease was reaped (or rewritten by another
-// worker); the holder must abandon the job immediately.
+// Renew extends the lease deadline by the store's TTL — the heartbeat —
+// and keeps its grant. ErrLeaseLost means the lease was reaped (or
+// rewritten by another claim); the holder must abandon the job
+// immediately.
 func (l *Lease) Renew() error {
 	s := l.store
 	lf, err := s.readLease(l.JobID)
-	if err != nil || lf.Worker != s.worker {
+	if err != nil || lf.Grant != l.grant {
 		return ErrLeaseLost
 	}
 	now := s.clock.Now()
@@ -438,12 +488,12 @@ func (l *Lease) Renew() error {
 	return nil
 }
 
-// verify checks the lease is still ours before a terminal write — the
-// fencing that keeps a worker whose lease was reaped from clobbering the
-// new owner's state.
+// verify checks the lease file still holds this grant before a record
+// write — the fencing that keeps a worker whose lease was reaped from
+// clobbering the new owner's state.
 func (l *Lease) verify() error {
 	lf, err := l.store.readLease(l.JobID)
-	if err != nil || lf.Worker != l.store.worker {
+	if err != nil || lf.Grant != l.grant {
 		return ErrLeaseLost
 	}
 	return nil
@@ -632,10 +682,10 @@ func (s *Store) CancelUnderLease(l *Lease, rec *Record, reason string) error {
 }
 
 // ReapExpired checks a running record's lease and, when it has expired
-// (the owner died), atomically takes it over and requeues the job with
-// its attempt count intact (the dead worker's attempt was already
-// charged at MarkRunning). Exactly one concurrent reaper succeeds;
-// the rest report reaped=false.
+// (the owner died), takes it over through Claim and requeues the job
+// with its attempt count intact (the dead worker's attempt was already
+// charged at MarkRunning). Exactly one concurrent reaper succeeds; the
+// rest report reaped=false.
 func (s *Store) ReapExpired(rec *Record) (reaped bool, err error) {
 	if rec.State != StateRunning {
 		return false, nil
@@ -679,6 +729,9 @@ func (s *Store) ReapExpired(rec *Record) (reaped bool, err error) {
 			Attempt: fresh.Attempt, Worker: s.worker, Time: now,
 			Error: fmt.Sprintf("lease expired (worker %s died); attempt limit reached", fresh.Worker),
 		})
+	}
+	if l.verify() != nil {
+		return false, nil // our takeover was itself taken over
 	}
 	if err := s.writeRecord(fresh); err != nil {
 		l.Release()

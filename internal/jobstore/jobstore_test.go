@@ -3,6 +3,7 @@ package jobstore
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -135,7 +136,7 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 }
 
 // TestLeaseReapRaceOneWinner races many reapers at one expired lease:
-// the rename-aside takeover must admit exactly one.
+// the marker-guarded takeover must admit exactly one.
 func TestLeaseReapRaceOneWinner(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewFakeClock(t0)
@@ -187,6 +188,64 @@ func TestLeaseReapRaceOneWinner(t *testing.T) {
 	got, _ := owner.Get("job-1")
 	if got.State != StateQueued {
 		t.Fatalf("post-reap state %q, want queued", got.State)
+	}
+}
+
+// TestLeaseReapMarkerExcludesAndExpires pins the takeover lock: while
+// the expired grant's reap marker exists no other reaper may replace the
+// lease, and List removes a marker older than the TTL (its reaper died
+// mid-takeover), after which the job can be reaped.
+func TestLeaseReapMarkerExcludesAndExpires(t *testing.T) {
+	a, b, clock := twoWorkers(t)
+	rec, _ := a.Enqueue("job-1", []byte(`{}`), 3)
+	l, err := a.Claim("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.MarkRunning(l, rec); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Minute) // owner dies
+	var osfs faultinject.OS
+
+	grant, ok := b.expiredGrant("job-1", clock.Now())
+	if !ok || grant != l.grant {
+		t.Fatalf("expired grant %q, %v; want the owner's %q", grant, ok, l.grant)
+	}
+	made, _ := json.Marshal(clock.Now())
+	marker := b.reapPath("job-1", grant)
+	if err := osfs.CreateExclusive(marker, made, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	brec, _ := b.Get("job-1")
+	if reaped, err := b.ReapExpired(brec); err != nil || reaped {
+		t.Fatalf("reap past another reaper's marker = %v, %v; want not reaped", reaped, err)
+	}
+	if _, err := b.List(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := osfs.ReadFile(marker); err != nil {
+		t.Fatalf("List removed a marker younger than the TTL: %v", err)
+	}
+
+	clock.Advance(11 * time.Second) // past the 10s TTL
+	if _, err := b.List(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := osfs.ReadFile(marker); err == nil {
+		t.Fatal("List kept a marker older than the TTL")
+	}
+	if reaped, err := b.ReapExpired(brec); err != nil || !reaped {
+		t.Fatalf("reap after the stale marker went = %v, %v", reaped, err)
+	}
+	if err := l.Renew(); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("dead owner's renew after the takeover = %v, want ErrLeaseLost", err)
+	}
+	ents, _ := osfs.ReadDir(b.Dir())
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".reap.") {
+			t.Errorf("takeover left marker %s behind", e.Name())
+		}
 	}
 }
 

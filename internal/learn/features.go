@@ -1,10 +1,10 @@
 // Package learn is the framework's offline-training / online-inference
 // subsystem: it turns the per-epoch decision events the controller already
 // emits (internal/telemetry JSONL) into labeled training examples, fits
-// small pure-Go models (a CART decision tree and a logistic-regression
-// baseline), and serializes them as versioned JSON for the CMM-L policy
-// (internal/cmm) to load and predict throttle decisions with — replacing
-// the controller's exhaustive combo sampling at near-zero decision cost.
+// a small pure-Go model (a CART decision tree), and serializes it as
+// versioned JSON for the CMM-L policy (internal/cmm) to load and predict
+// throttle decisions with — replacing the controller's exhaustive combo
+// sampling at near-zero decision cost.
 //
 // The pipeline mirrors the lightweight ML-based prefetcher-selection line
 // of work (arXiv 2307.08635, 2509.10719): features are the Table-I PMU

@@ -13,16 +13,14 @@ import (
 // any change to the Model JSON shape.
 const ModelSchema = "cmm-learn/v1"
 
-// Model kinds.
-const (
-	KindTree  = "tree"
-	KindLogit = "logit"
-)
+// KindTree is the only model kind: a decision tree.
+const KindTree = "tree"
 
 // Model is the versioned, serializable envelope the CMM-L policy loads.
-// Exactly one of Tree/Logit is set, selected by Kind. Features pins the
-// feature schema the model was trained under so a schema drift between
-// trainer and policy binary fails Validate instead of mispredicting.
+// Kind is always KindTree and Tree holds the parameters. Features pins
+// the feature schema the model was trained under so a schema drift
+// between trainer and policy binary fails Validate instead of
+// mispredicting.
 type Model struct {
 	Schema        string   `json:"schema"`
 	SchemaVersion int      `json:"schema_version"`
@@ -34,23 +32,17 @@ type Model struct {
 	// TrainExamples counts the examples the final fit used.
 	TrainExamples int `json:"train_examples"`
 
-	Tree  *Tree  `json:"tree,omitempty"`
-	Logit *Logit `json:"logit,omitempty"`
+	Tree *Tree `json:"tree,omitempty"`
 }
 
 // Predict returns the predicted label (1 = throttle the core's
 // prefetchers) and the model's confidence in that label, max(p, 1-p),
 // for one raw feature vector built with Vector.
 func (m *Model) Predict(x []float64) (label int, confidence float64) {
-	var p float64
-	switch m.Kind {
-	case KindTree:
-		p = m.Tree.Predict(x)
-	case KindLogit:
-		p = m.Logit.Predict(x)
-	default:
+	if m.Kind != KindTree {
 		return 0, 0
 	}
+	p := m.Tree.Predict(x)
 	if p >= 0.5 {
 		return 1, p
 	}
@@ -74,20 +66,13 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("learn: model feature %d is %q, binary has %q", i, f, FeatureNames[i])
 		}
 	}
-	switch m.Kind {
-	case KindTree:
-		if m.Tree == nil {
-			return fmt.Errorf("learn: kind tree without tree payload")
-		}
-		return m.Tree.validate()
-	case KindLogit:
-		if m.Logit == nil {
-			return fmt.Errorf("learn: kind logit without logit payload")
-		}
-		return m.Logit.validate()
-	default:
+	if m.Kind != KindTree {
 		return fmt.Errorf("learn: unknown model kind %q", m.Kind)
 	}
+	if m.Tree == nil {
+		return fmt.Errorf("learn: kind tree without tree payload")
+	}
+	return m.Tree.validate()
 }
 
 // Fingerprint returns a short stable digest of the model's canonical JSON
@@ -130,11 +115,9 @@ func LoadModel(path string) (*Model, error) {
 
 // TrainParams configures Train. Zero values select defaults.
 type TrainParams struct {
-	Kind        string  // KindTree (default) or KindLogit
 	Seed        int64   // holdout shuffle seed
 	HoldoutFrac float64 // fraction held out for eval, default 0.2
 	Tree        TreeParams
-	Logit       LogitParams
 	LabelPolicy string
 }
 
@@ -153,15 +136,12 @@ type Metrics struct {
 	BaseRate float64 `json:"base_rate"`
 }
 
-// Train splits exs into train/holdout with the seeded shuffle, fits the
-// requested kind on the train split, and reports holdout metrics. The
+// Train splits exs into train/holdout with the seeded shuffle, fits a
+// tree on the train split, and reports holdout metrics. The
 // returned model is refit on ALL examples (train+holdout) so deployment
 // uses every label; the metrics still describe the honest holdout fit.
 // Deterministic for a fixed (corpus order, params) pair.
 func Train(exs []Example, p TrainParams) (*Model, Metrics, error) {
-	if p.Kind == "" {
-		p.Kind = KindTree
-	}
 	if p.HoldoutFrac <= 0 || p.HoldoutFrac >= 1 {
 		p.HoldoutFrac = 0.2
 	}
@@ -172,27 +152,19 @@ func Train(exs []Example, p TrainParams) (*Model, Metrics, error) {
 	train, hold := SplitHoldout(exs, p.Seed, p.HoldoutFrac)
 
 	fit := func(data []Example) (*Model, error) {
-		m := &Model{
-			Schema:        ModelSchema,
-			SchemaVersion: SchemaVersion,
-			Kind:          p.Kind,
-			Features:      append([]string(nil), FeatureNames...),
-			LabelPolicy:   p.LabelPolicy,
-			TrainExamples: len(data),
-		}
-		var err error
-		switch p.Kind {
-		case KindTree:
-			m.Tree, err = TrainTree(data, p.Tree)
-		case KindLogit:
-			m.Logit, err = TrainLogit(data, p.Logit)
-		default:
-			err = fmt.Errorf("learn: unknown kind %q", p.Kind)
-		}
+		tree, err := TrainTree(data, p.Tree)
 		if err != nil {
 			return nil, err
 		}
-		return m, nil
+		return &Model{
+			Schema:        ModelSchema,
+			SchemaVersion: SchemaVersion,
+			Kind:          KindTree,
+			Features:      append([]string(nil), FeatureNames...),
+			LabelPolicy:   p.LabelPolicy,
+			TrainExamples: len(data),
+			Tree:          tree,
+		}, nil
 	}
 
 	holdModel, err := fit(train)

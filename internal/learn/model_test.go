@@ -37,51 +37,47 @@ func synthExamples(n int, seed int64) []Example {
 
 func TestTrainBothKindsLearnSeparableData(t *testing.T) {
 	exs := synthExamples(400, 7)
-	for _, kind := range []string{KindTree, KindLogit} {
-		m, met, err := Train(exs, TrainParams{Kind: kind, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if met.Accuracy < 0.95 {
-			t.Errorf("%s: holdout accuracy %.3f on separable data, want >= 0.95", kind, met.Accuracy)
-		}
-		if err := m.Validate(); err != nil {
-			t.Errorf("%s: %v", kind, err)
-		}
-		label, conf := m.Predict(Vector(3, 0.8, 5e8, 5e7, 0.4, 10, 0.5, 5e8))
-		if label != 1 {
-			t.Errorf("%s: clear throttle case predicted %d (conf %.2f)", kind, label, conf)
-		}
-		if conf < 0.5 || conf > 1 {
-			t.Errorf("%s: confidence %.3f outside (0.5, 1]", kind, conf)
-		}
+	m, met, err := Train(exs, TrainParams{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.Accuracy < 0.95 {
+		t.Errorf("holdout accuracy %.3f on separable data, want >= 0.95", met.Accuracy)
+	}
+	if err := m.Validate(); err != nil {
+		t.Error(err)
+	}
+	label, conf := m.Predict(Vector(3, 0.8, 5e8, 5e7, 0.4, 10, 0.5, 5e8))
+	if label != 1 {
+		t.Errorf("clear throttle case predicted %d (conf %.2f)", label, conf)
+	}
+	if conf < 0.5 || conf > 1 {
+		t.Errorf("confidence %.3f outside (0.5, 1]", conf)
 	}
 }
 
 func TestTrainDeterministic(t *testing.T) {
 	exs := synthExamples(200, 3)
-	for _, kind := range []string{KindTree, KindLogit} {
-		a, metA, err := Train(exs, TrainParams{Kind: kind, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, metB, err := Train(exs, TrainParams{Kind: kind, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Fingerprint() != b.Fingerprint() {
-			t.Errorf("%s: same corpus+seed produced different models: %s vs %s",
-				kind, a.Fingerprint(), b.Fingerprint())
-		}
-		if metA != metB {
-			t.Errorf("%s: metrics differ across identical runs: %+v vs %+v", kind, metA, metB)
-		}
+	a, metA, err := Train(exs, TrainParams{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, metB, err := Train(exs, TrainParams{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Errorf("same corpus+seed produced different models: %s vs %s",
+			a.Fingerprint(), b.Fingerprint())
+	}
+	if metA != metB {
+		t.Errorf("metrics differ across identical runs: %+v vs %+v", metA, metB)
 	}
 }
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	exs := synthExamples(120, 9)
-	m, _, err := Train(exs, TrainParams{Kind: KindTree, Seed: 1, LabelPolicy: "CMM-a"})
+	m, _, err := Train(exs, TrainParams{Seed: 1, LabelPolicy: "CMM-a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +107,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 
 func TestValidateRejectsDrift(t *testing.T) {
 	exs := synthExamples(60, 2)
-	m, _, err := Train(exs, TrainParams{Kind: KindLogit, Seed: 1})
+	m, _, err := Train(exs, TrainParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +117,8 @@ func TestValidateRejectsDrift(t *testing.T) {
 		func(m *Model) { m.Features = m.Features[:len(m.Features)-1] },
 		func(m *Model) { m.Features[0] = "renamed" },
 		func(m *Model) { m.Kind = "forest" },
-		func(m *Model) { m.Logit = nil },
-		func(m *Model) { m.Logit.Weights[0] = math.NaN() },
+		func(m *Model) { m.Tree = nil },
+		func(m *Model) { m.Tree.Nodes = nil },
 	}
 	for i, mutate := range mutations {
 		var cp Model
@@ -160,24 +156,22 @@ func TestTrainDegenerateInputs(t *testing.T) {
 	if _, _, err := Train(synthExamples(5, 1), TrainParams{}); err == nil {
 		t.Error("5-example corpus trained without error, want too-few failure")
 	}
-	// Single-class corpora are legal: the tree is a single leaf and logit
-	// saturates; both must stay finite.
+	// Single-class corpora are legal: the tree is a single leaf and must
+	// stay finite.
 	exs := synthExamples(40, 1)
 	for i := range exs {
 		exs[i].Label = 0
 	}
-	for _, kind := range []string{KindTree, KindLogit} {
-		m, _, err := Train(exs, TrainParams{Kind: kind, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		label, conf := m.Predict(exs[0].Features)
-		if label != 0 {
-			t.Errorf("%s: single-class corpus predicts %d, want 0", kind, label)
-		}
-		if math.IsNaN(conf) {
-			t.Errorf("%s: NaN confidence", kind)
-		}
+	m, _, err := Train(exs, TrainParams{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	label, conf := m.Predict(exs[0].Features)
+	if label != 0 {
+		t.Errorf("single-class corpus predicts %d, want 0", label)
+	}
+	if math.IsNaN(conf) {
+		t.Error("NaN confidence")
 	}
 }
 

@@ -17,7 +17,7 @@ func trainN(t *testing.T, n int) []*Model {
 	t.Helper()
 	ms := make([]*Model, n)
 	for i := range ms {
-		m, _, err := Train(synthExamples(120+i*10, int64(i+1)), TrainParams{Kind: KindTree, Seed: int64(i + 1)})
+		m, _, err := Train(synthExamples(120+i*10, int64(i+1)), TrainParams{Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func trainTestModel(t *testing.T, seed int64) *learn.Model {
 			Core:     i % 8,
 		})
 	}
-	m, _, err := learn.Train(exs, learn.TrainParams{Kind: learn.KindTree, Seed: seed})
+	m, _, err := learn.Train(exs, learn.TrainParams{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

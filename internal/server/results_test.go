@@ -190,12 +190,19 @@ func TestLookupSingleflight(t *testing.T) {
 	}
 
 	// The dedup entry must be gone after the terminal transition, so the
-	// singleflight map cannot leak jobs.
-	s.mu.Lock()
-	left := len(s.lookups)
-	s.mu.Unlock()
+	// singleflight map cannot leak jobs. The worker clears it just after
+	// storing the bytes the waiters return with, so allow it a moment.
+	var left int
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		left = len(s.lookups)
+		s.mu.Unlock()
+		if left == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if left != 0 {
-		t.Errorf("%d lookup entries linger after completion, want 0", left)
+		t.Errorf("%d lookup entries linger 5s after completion, want 0", left)
 	}
 }
 

@@ -22,6 +22,8 @@
 # Phase 4 (lone server, no -store): a single cmmserve keeps its run
 # store and jobs in a temporary directory under $TMPDIR, runs a small
 # comparison job to done, and after SIGTERM must leave nothing behind.
+# A second lone server started on the same, already-bound port must
+# exit non-zero and leave nothing behind either.
 #
 # Usage: scripts/two_worker_smoke.sh
 # Exits 0 on success; prints a FAIL line and exits 1 otherwise.
@@ -214,7 +216,7 @@ wait_model_fp() {
 }
 
 echo "training and promoting model 1 into the registry both workers watch"
-"$TRAINBIN" -quick -synth-seeds 1 -kind tree -promote -registry "$MODELS" \
+"$TRAINBIN" -quick -synth-seeds 1 -promote -registry "$MODELS" \
     -out "$WORK/model1.json" >"$WORK/train1.log" 2>&1 \
     || fail "model 1 train/promote failed: $(cat "$WORK/train1.log")"
 FP1=$(cat "$MODELS/current")
@@ -263,8 +265,10 @@ for URL in "$A_URL" "$B_URL"; do
 done
 echo "corrupt promotion rejected on both workers; model 1 still serving"
 
-echo "promoting a clean model 2 (logit) to heal the registry"
-"$TRAINBIN" -quick -synth-seeds 2 -kind logit -promote -registry "$MODELS" \
+# A different synthesis corpus (two seeds, not one) gives model 2 a
+# fingerprint of its own.
+echo "promoting a clean model 2 to heal the registry"
+"$TRAINBIN" -quick -synth-seeds 2 -promote -registry "$MODELS" \
     -out "$WORK/model2.json" >"$WORK/train2.log" 2>&1 \
     || fail "model 2 train/promote failed: $(cat "$WORK/train2.log")"
 FP2=$(cat "$MODELS/current")
@@ -290,6 +294,17 @@ for i in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$(ls -A "$WORK/tmp")" ] || fail "lone worker created no temporary store directory under \$TMPDIR"
+
+# A second lone worker on the port the first one holds must fail to
+# start and still remove the temporary store directory it made.
+mkdir -p "$WORK/tmp2"
+if TMPDIR="$WORK/tmp2" "$BIN" -listen "127.0.0.1:$PORT_A" -worker-id smoke-busy \
+    >"$WORK/busy.log" 2>&1; then
+    fail "a worker started on the already-bound port $PORT_A"
+fi
+[ -z "$(ls -A "$WORK/tmp2")" ] \
+    || fail "failed start left $(ls "$WORK/tmp2") under \$TMPDIR: $(cat "$WORK/busy.log")"
+echo "a worker on the bound port exited non-zero and left \$TMPDIR empty"
 
 curl -s "$A_URL/v1/jobs" \
     -d '{"kind":"comparison","preset":"quick","seeds":[5],"mixes_per_category":1,"policies":["PT"]}' \
