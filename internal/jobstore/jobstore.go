@@ -31,8 +31,9 @@
 // store under its ResultHash. Besides the request, state and
 // attempt history it carries the result's content address (ResultHash,
 // set at Enqueue), when the latest execution started (StartedAt, set by
-// MarkRunning) and how far it got (Progress); a terminal record's
-// UpdatedAt is when the job finished.
+// MarkRunning, or by the server for a job it finishes from a stored
+// result without executing) and how far it got (Progress); a terminal
+// record's UpdatedAt is when the job finished.
 //
 // Record updates are temp-file+rename so readers never observe a torn
 // record; the lease claim is an exclusive create, and expired-lease
@@ -94,7 +95,9 @@ type Record struct {
 	ID      string          `json:"id"`
 	Request json.RawMessage `json:"request"`
 	State   string          `json:"state"`
-	// Attempt counts executions started (claims that reached running).
+	// Attempt counts executions started (claims that reached running)
+	// and nothing else: a job finished from a result already in the run
+	// store never executes and keeps 0.
 	Attempt int `json:"attempt"`
 	// MaxAttempts quarantines the job (State failed) once Attempt reaches
 	// it without success.
@@ -114,7 +117,8 @@ type Record struct {
 	// transition that ended it.
 	Progress  Progress  `json:"progress"`
 	CreatedAt time.Time `json:"created_at"`
-	// StartedAt is when the latest execution started (MarkRunning).
+	// StartedAt is when the latest execution started (MarkRunning), or
+	// when a job finished from a stored result was claimed.
 	StartedAt time.Time `json:"started_at,omitempty"`
 	// UpdatedAt is the last write; for a terminal record, when it finished.
 	UpdatedAt time.Time `json:"updated_at"`

@@ -16,8 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"cmm/internal/experiments"
 	"cmm/internal/faultinject"
+	"cmm/internal/jobstore"
 	"cmm/internal/runstore"
+	"cmm/internal/telemetry"
 )
 
 // getRaw issues a GET with optional headers and returns status, headers
@@ -388,23 +391,28 @@ func (c *renameCounter) count(name string) int {
 func TestResultPublishedOnlyWhenMissing(t *testing.T) {
 	dir := t.TempDir()
 	const body = `{"kind":"comparison","preset":"tiny","policies":["PT"]}`
-	run := func() (*renameCounter, jobStatus, []byte) {
+	run := func() (*renameCounter, jobStatus, []byte, int32) {
 		t.Helper()
 		fsys := &renameCounter{renames: map[string]int{}}
 		store, err := runstore.Open(dir, runstore.WithFS(fsys))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ts := tinyServer(t, Config{Store: store})
+		s, ts := tinyServer(t, Config{Store: store})
+		var runs atomic.Int32
+		s.execute = func(ctx context.Context, j *job) (any, error) {
+			runs.Add(1)
+			return s.executeJob(ctx, j)
+		}
 		st := postJob(t, ts, body)
 		awaitState(t, ts, st.ID, StateDone)
 		_, _, res := getRaw(t, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
 		again := postJob(t, ts, body)
 		awaitState(t, ts, again.ID, StateDone)
-		return fsys, st, res
+		return fsys, st, res, runs.Load()
 	}
 
-	fsys, st, res := run()
+	fsys, st, res, _ := run()
 	file := st.ResultHash + ".json"
 	if n := fsys.count(file); n != 1 {
 		t.Fatalf("two jobs of one configuration wrote the result %d times, want 1", n)
@@ -415,9 +423,12 @@ func TestResultPublishedOnlyWhenMissing(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"truncated`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fsys, _, _ = run()
+	fsys, _, _, runs := run()
 	if n := fsys.count(file); n != 1 {
 		t.Fatalf("a corrupt result entry was rewritten %d times, want 1", n)
+	}
+	if runs != 1 {
+		t.Errorf("a corrupt entry then its rewrite took %d executions, want 1 (the rewrite answers the second job)", runs)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -425,6 +436,109 @@ func TestResultPublishedOnlyWhenMissing(t *testing.T) {
 	}
 	if !bytes.Equal(got, res) {
 		t.Errorf("rewritten entry differs from the job's result (%d vs %d bytes)", len(got), len(res))
+	}
+}
+
+// TestWarmJobAnsweredFromStore checks that a job whose result hash the
+// run store already holds finishes from those bytes without executing:
+// no attempt charged, a start time stamped, complete progress, and the
+// first job's bytes on /result.
+func TestWarmJobAnsweredFromStore(t *testing.T) {
+	var runs atomic.Int32
+	counters := &telemetry.Counters{}
+	s, ts := tinyServer(t, Config{Counters: counters, execute: func(ctx context.Context, j *job) (any, error) {
+		runs.Add(1)
+		return map[string]string{"payload": "warm"}, nil
+	}})
+	const body = `{"preset":"tiny","policies":["PT"]}`
+	first := postJob(t, ts, body)
+	awaitState(t, ts, first.ID, StateDone)
+	_, _, want := getRaw(t, ts.URL+"/v1/jobs/"+first.ID+"/result", nil)
+
+	again := postJob(t, ts, body)
+	st := awaitState(t, ts, again.ID, StateDone)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("two identical jobs executed %d times, want 1", n)
+	}
+	if st.ResultHash != first.ResultHash {
+		t.Errorf("warm job result hash %s, want %s", st.ResultHash, first.ResultHash)
+	}
+	rec, err := s.cfg.Jobs.Get(again.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Attempt != 0 {
+		t.Errorf("warm job charged %d attempts, want 0", rec.Attempt)
+	}
+	if rec.StartedAt.IsZero() {
+		t.Error("warm job has no started_at")
+	}
+	if p := rec.Progress; p.Total == 0 || p.Done != p.Total {
+		t.Errorf("warm job progress %d/%d, want complete and non-empty", p.Done, p.Total)
+	}
+	if code, _, got := getRaw(t, ts.URL+"/v1/jobs/"+again.ID+"/result", nil); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("warm job result: status %d, %q; want 200, %q", code, got, want)
+	}
+	if n := counters.Snapshot()["jobs_answered_from_store_total"]; n != 1 {
+		t.Errorf("jobs_answered_from_store_total = %d, want 1", n)
+	}
+}
+
+// TestWarmJobMatchesForcedRun pins that the bytes a warm job is answered
+// with are the ones the engine produces: a second server over the first
+// one's store directory answers the configuration without executing, and
+// its bytes equal a forced run of that configuration on a fresh store.
+func TestWarmJobMatchesForcedRun(t *testing.T) {
+	const body = `{"kind":"comparison","preset":"tiny","policies":["PT"]}`
+	// Shorter windows than tinyPreset: the test runs the engine twice,
+	// and CI repeats it under the race detector.
+	preset := tinyPreset()
+	preset.CMM.ExecutionEpoch = 50_000
+	preset.CMM.SamplingInterval = 5_000
+	preset.SoloWarmCycles = 50_000
+	preset.SoloMeasureCycles = 50_000
+	presets := map[string]experiments.Options{"tiny": preset}
+	dir := t.TempDir()
+	result := func(store *runstore.Store) (*jobstore.Record, []byte) {
+		t.Helper()
+		s, ts := tinyServer(t, Config{Store: store, Presets: presets})
+		st := postJob(t, ts, body)
+		awaitState(t, ts, st.ID, StateDone)
+		rec, err := s.cfg.Jobs.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, _, raw := getRaw(t, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
+		if code != http.StatusOK {
+			t.Fatalf("result: status %d: %s", code, raw)
+		}
+		return rec, raw
+	}
+	openStore := func(dir string) *runstore.Store {
+		t.Helper()
+		store, err := runstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+
+	if cold, _ := result(openStore(dir)); cold.Attempt != 1 {
+		t.Fatalf("cold job ran %d attempts, want 1", cold.Attempt)
+	}
+	warm, warmRaw := result(openStore(dir))
+	if warm.Attempt != 0 {
+		t.Fatalf("warm job ran %d attempts, want 0 (answered from the store)", warm.Attempt)
+	}
+	forced, forcedRaw := result(openStore(t.TempDir()))
+	if forced.Attempt != 1 {
+		t.Fatalf("forced job ran %d attempts, want 1", forced.Attempt)
+	}
+	if forced.ResultHash != warm.ResultHash {
+		t.Errorf("forced run hash %s, warm %s", forced.ResultHash, warm.ResultHash)
+	}
+	if !bytes.Equal(warmRaw, forcedRaw) {
+		t.Errorf("warm answer differs from a forced run (%d vs %d bytes)", len(warmRaw), len(forcedRaw))
 	}
 }
 

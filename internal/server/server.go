@@ -647,6 +647,16 @@ func (s *Server) run(j *job) {
 		return
 	}
 	rec.ResultHash = j.resultKey // the key this run publishes under
+	if _, ok := s.cfg.Store.Get(j.resultKey); ok {
+		// The key covers the whole configuration, so the stored bytes are
+		// the ones an execution would produce: finish without executing.
+		// Nothing ran, so no attempt is charged.
+		rec.StartedAt = s.cfg.Jobs.Now()
+		rec.Progress = jobstore.Progress{Done: 1, Total: 1}
+		s.cfg.Counters.JobAnsweredFromStore()
+		s.finishDone(j, lease, rec)
+		return
+	}
 	if err := s.cfg.Jobs.MarkRunning(lease, rec); err != nil {
 		return
 	}
@@ -743,7 +753,16 @@ func (s *Server) run(j *job) {
 		// store stall starved the heartbeat); it owns the job now and
 		// writes its record.
 	case err == nil:
-		s.finishDone(j, lease, rec, raw)
+		// The key is content-addressed, so an entry stored meanwhile holds
+		// these bytes and is not rewritten; a missing entry is written, and
+		// so is a corrupt one, which Get quarantines and reports missing. A
+		// failed disk write (full disk, open breaker) is absorbed: the
+		// store's memory front still serves the bytes and its breaker
+		// counts the error.
+		if _, ok := s.cfg.Store.Get(j.resultKey); !ok {
+			s.cfg.Store.Put(j.resultKey, raw)
+		}
+		s.finishDone(j, lease, rec)
 	case jobCtx.Err() != nil:
 		if cancelReason == "" {
 			cancelReason = err.Error()
@@ -756,20 +775,12 @@ func (s *Server) run(j *job) {
 	}
 }
 
-// finishDone stores the job's canonical result bytes in the run store
-// under the job's content-address, then writes the done record, so a
-// done record always comes after its bytes and the job endpoint and the
-// read path serve the same payload. A record write that fails for any
-// reason but a lost lease is a failed attempt.
-func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record, raw []byte) {
-	// The key is content-addressed, so an entry already in the store holds
-	// these bytes and is not rewritten; a missing entry is written, and so
-	// is a corrupt one, which Get quarantines and reports missing. A failed
-	// disk write (full disk, open breaker) is absorbed: the store's memory
-	// front still serves the bytes and its breaker counts the error.
-	if _, ok := s.cfg.Store.Get(j.resultKey); !ok {
-		s.cfg.Store.Put(j.resultKey, raw)
-	}
+// finishDone writes the done record of a job whose result bytes are in
+// the run store under its content-address, so a done record always comes
+// after its bytes and the job endpoint and the read path serve the same
+// payload. A record write that fails for any reason but a lost lease is a
+// failed attempt.
+func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record) {
 	if err := s.cfg.Jobs.Complete(lease, rec); err != nil {
 		if !errors.Is(err, jobstore.ErrLeaseLost) {
 			s.finishFailedAttempt(j, lease, rec, err)

@@ -306,10 +306,12 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	_, ts, release, started := blockingServer(t, Config{Workers: 1, QueueDepth: 8})
 	defer close(release)
 
-	postJob(t, ts, `{"preset":"tiny"}`) // parks the worker
+	// Distinct seeds give each job its own result hash, so none is
+	// answered from the store the parked job fills.
+	postJob(t, ts, `{"preset":"tiny","seeds":[1]}`) // parks the worker
 	first := <-started
-	low := postJob(t, ts, `{"preset":"tiny","priority":1}`)
-	high := postJob(t, ts, `{"preset":"tiny","priority":9}`)
+	low := postJob(t, ts, `{"preset":"tiny","seeds":[2],"priority":1}`)
+	high := postJob(t, ts, `{"preset":"tiny","seeds":[3],"priority":9}`)
 	_ = first
 
 	release <- struct{}{} // finish the parked job; worker pops next

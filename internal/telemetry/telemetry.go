@@ -339,13 +339,15 @@ type Counters struct {
 	modelReloadErrors atomic.Int64
 	modelRollbacks    atomic.Int64
 
-	// Job-lifecycle robustness counters, bumped directly by the job
-	// server (they have no epoch-event form): attempts retried after a
-	// failure, jobs requeued from dead workers' expired leases, and jobs
-	// quarantined after exhausting their attempt budget.
-	jobsRetried     atomic.Int64
-	jobsRequeued    atomic.Int64
-	jobsQuarantined atomic.Int64
+	// Job-lifecycle counters, bumped directly by the job server (they
+	// have no epoch-event form): attempts retried after a failure, jobs
+	// requeued from dead workers' expired leases, jobs quarantined after
+	// exhausting their attempt budget, and jobs finished from a result
+	// already in the run store without executing.
+	jobsRetried           atomic.Int64
+	jobsRequeued          atomic.Int64
+	jobsQuarantined       atomic.Int64
+	jobsAnsweredFromStore atomic.Int64
 
 	// Read-path serving-tier counters, bumped directly by the results
 	// handlers: memoized results served from the run store, lookups
@@ -375,6 +377,10 @@ func (c *Counters) JobRequeued() { c.jobsRequeued.Add(1) }
 // JobQuarantined records one job that exhausted MaxAttempts and was
 // parked in the terminal failed state.
 func (c *Counters) JobQuarantined() { c.jobsQuarantined.Add(1) }
+
+// JobAnsweredFromStore records one claimed job finished from the result
+// the run store already held under its result hash, without executing.
+func (c *Counters) JobAnsweredFromStore() { c.jobsAnsweredFromStore.Add(1) }
 
 // ModelReloaded records one successful hot swap of the served model.
 func (c *Counters) ModelReloaded() { c.modelReloads.Add(1) }
@@ -437,6 +443,7 @@ var counterTable = [...]struct {
 }{
 	{"detections_total", func(c *Counters) uint64 { return uint64(c.detections.Load()) }},
 	{"epochs_total", func(c *Counters) uint64 { return uint64(c.epochs.Load()) }},
+	{"jobs_answered_from_store_total", func(c *Counters) uint64 { return uint64(c.jobsAnsweredFromStore.Load()) }},
 	{"jobs_quarantined_total", func(c *Counters) uint64 { return uint64(c.jobsQuarantined.Load()) }},
 	{"jobs_requeued_total", func(c *Counters) uint64 { return uint64(c.jobsRequeued.Load()) }},
 	{"jobs_retried_total", func(c *Counters) uint64 { return uint64(c.jobsRetried.Load()) }},

@@ -119,6 +119,7 @@ func TestTelemetryCounters(t *testing.T) {
 	c.JobRetried()
 	c.JobRequeued()
 	c.JobQuarantined()
+	c.JobAnsweredFromStore()
 	c.ReadHit()
 	c.ReadHit()
 	c.ReadHit()
@@ -131,29 +132,30 @@ func TestTelemetryCounters(t *testing.T) {
 
 	got := c.Snapshot()
 	want := map[string]uint64{
-		"epochs_total":              7,
-		"detections_total":          2,
-		"throttle_flips_total":      1,
-		"partition_changes_total":   1,
-		"mba_changes_total":         1,
-		"sampling_cycles_total":     600_000*2 + 100,
-		"sampling_intervals_total":  4 + 4 + 1 + 5 + 5 + 5, // two sample events + predicted + fallback + audit + demotion
-		"learn_predictions_total":   1,
-		"learn_fallbacks_total":     2,
-		"learn_shadow_audits_total": 1,
-		"learn_demotions_total":     1,
-		"model_reloads_total":       2,
-		"model_reload_errors_total": 1,
-		"model_rollbacks_total":     1,
-		"solo_runs_total":           1,
-		"store_hits_total":          2,
-		"store_misses_total":        1,
-		"jobs_retried_total":        2,
-		"jobs_requeued_total":       1,
-		"jobs_quarantined_total":    1,
-		"read_hits_total":           3,
-		"read_misses_total":         1,
-		"read_not_modified_total":   1,
+		"epochs_total":                   7,
+		"detections_total":               2,
+		"throttle_flips_total":           1,
+		"partition_changes_total":        1,
+		"mba_changes_total":              1,
+		"sampling_cycles_total":          600_000*2 + 100,
+		"sampling_intervals_total":       4 + 4 + 1 + 5 + 5 + 5, // two sample events + predicted + fallback + audit + demotion
+		"learn_predictions_total":        1,
+		"learn_fallbacks_total":          2,
+		"learn_shadow_audits_total":      1,
+		"learn_demotions_total":          1,
+		"model_reloads_total":            2,
+		"model_reload_errors_total":      1,
+		"model_rollbacks_total":          1,
+		"solo_runs_total":                1,
+		"store_hits_total":               2,
+		"store_misses_total":             1,
+		"jobs_retried_total":             2,
+		"jobs_requeued_total":            1,
+		"jobs_quarantined_total":         1,
+		"jobs_answered_from_store_total": 1,
+		"read_hits_total":                3,
+		"read_misses_total":              1,
+		"read_not_modified_total":        1,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Snapshot:\n got %v\nwant %v", got, want)

@@ -21,7 +21,9 @@
 #
 # Phase 4 (lone server, no -store): a single cmmserve keeps its run
 # store and jobs in a temporary directory under $TMPDIR, runs a small
-# comparison job to done, and after SIGTERM must leave nothing behind.
+# comparison job to done, answers a resubmission of that job from its
+# stored result without executing it, and after SIGTERM must leave
+# nothing behind.
 # A second lone server started on the same, already-bound port must
 # exit non-zero and leave nothing behind either.
 #
@@ -323,9 +325,31 @@ done
 [ -n "$DONE4" ] || fail "lone-worker job never finished: $(cat "$WORK/status4.json")"
 curl -sf "$A_URL/v1/jobs/$JOB4/result" | grep -q '"results"' || fail "lone worker served no result"
 
+# The same configuration again is answered from the stored result: done
+# without executing (its durable record keeps attempt 0), under the same
+# result hash, and counted on /metrics.
+curl -s "$A_URL/v1/jobs" \
+    -d '{"kind":"comparison","preset":"quick","seeds":[5],"mixes_per_category":1,"policies":["PT"]}' \
+    >"$WORK/submit5.json"
+JOB5=$(jsonfield "$WORK/submit5.json" id)
+[ -n "$JOB5" ] || fail "no job id in $(cat "$WORK/submit5.json")"
+for i in $(seq 1 100); do
+    curl -s "$A_URL/v1/jobs/$JOB5" >"$WORK/status5.json" || true
+    [ "$(jsonfield "$WORK/status5.json" state)" = done ] && break
+    [ "$i" = 100 ] && fail "resubmitted job never finished: $(cat "$WORK/status5.json")"
+    sleep 0.1
+done
+[ "$(jsonfield "$WORK/status5.json" result_hash)" = "$(jsonfield "$WORK/status4.json" result_hash)" ] \
+    || fail "resubmitted job has another result hash: $(cat "$WORK/status5.json")"
+grep -q '"attempt":0,' "$WORK"/tmp/cmmserve-*/jobs/"$JOB5".job \
+    || fail "resubmitted job executed: $(cat "$WORK"/tmp/cmmserve-*/jobs/"$JOB5".job)"
+curl -s "$A_URL/metrics" | grep -qx 'cmm_jobs_answered_from_store_total 1' \
+    || fail "metrics do not count one job answered from the store: $(curl -s "$A_URL/metrics" | grep answered)"
+echo "resubmitted job $JOB5 was answered from the store without executing"
+
 kill -TERM "$A_PID"
 wait "$A_PID" || fail "lone worker exited non-zero after SIGTERM"
 A_PID=""
 [ -z "$(ls -A "$WORK/tmp")" ] || fail "lone worker left $(ls "$WORK/tmp") under \$TMPDIR after the drain"
-echo "PASS (phase 4): lone worker ran job $JOB4 to done and removed its temporary store directory"
+echo "PASS (phase 4): lone worker ran job $JOB4 to done, answered $JOB5 from the store and removed its temporary store directory"
 echo "PASS: all four phases"
