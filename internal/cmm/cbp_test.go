@@ -193,6 +193,55 @@ func TestCBPSampledCombosCountsEveryProfilingRun(t *testing.T) {
 	}
 }
 
+// mbaTraceTarget records, for every sampling interval, the MBA delay on
+// the classes the CBP policies program (CLOS 1–3).
+type mbaTraceTarget struct {
+	*fakeTarget
+	delays [][3]uint64
+}
+
+func (m *mbaTraceTarget) RunCycles(n uint64) {
+	var d [3]uint64
+	for i, clos := range []uint32{mbaCLOSFriendly, mbaCLOSUnfriendly, mbaCLOSSampled} {
+		d[i], _ = m.ReadMSR(0, msr.MBAThrottleBase+clos)
+	}
+	m.delays = append(m.delays, d)
+	m.fakeTarget.RunCycles(n)
+}
+
+// TestCPBWPTComboSearchRunsUnthrottled pins the MBA release before the
+// knob stages: a prefetch combo search that follows an epoch which left a
+// bandwidth throttle programmed must profile every combo with no MBA delay
+// on CLOS 1–3, or the stale throttle skews the scores it compares.
+func TestCPBWPTComboSearchRunsUnthrottled(t *testing.T) {
+	rt := &mbaTraceTarget{fakeTarget: newFakeTarget(cbpCores())}
+	cfg := DefaultConfig()
+	if _, err := (&CPBWPT{}).Epoch(rt, cfg, make([]pmu.Sample, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := rt.ReadMSR(0, msr.MBAThrottleBase+mbaCLOSSampled); v == 0 {
+		t.Fatal("the first epoch left no MBA throttle programmed")
+	}
+
+	// A policy with no cached combo searches again, over the throttle the
+	// first epoch left.
+	rt.delays = nil
+	dec, err := (&CPBWPT{}).Epoch(rt, cfg, make([]pmu.Sample, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// probe + split + 2 prefetch combos + MBA baseline + 2 entities x 2
+	// levels: intervals 3 and 4 are the combo search.
+	if dec.SampledCombos != 9 || len(rt.delays) != 9 {
+		t.Fatalf("epoch sampled %d (ran %d), want 9", dec.SampledCombos, len(rt.delays))
+	}
+	for i, d := range rt.delays[2:4] {
+		if d != [3]uint64{} {
+			t.Errorf("combo-search interval %d ran with MBA delays %v on CLOS 1-3, want none", i+1, d)
+		}
+	}
+}
+
 // TestCPBWReusesCachedMBAChoice pins the refresh schedule: a profiled
 // bandwidth partition is reasserted from cache on the following epochs (no
 // MBA sampling intervals) as long as the Agg split holds.

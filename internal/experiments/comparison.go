@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"cmm/internal/cmm"
 	"cmm/internal/metrics"
@@ -144,61 +143,29 @@ type Comparison struct {
 	Telemetry map[string]TelemetrySummary
 }
 
-// soloEntry is one benchmark's alone-IPC slot: the first goroutine to
-// claim a key owns the simulation and closes done when the value (or
-// error) is in; everyone else blocks on done instead of duplicating the
-// run.
-type soloEntry struct {
-	done chan struct{}
-	ipc  float64
-	err  error
-}
-
-// soloIPCCache memoizes per-benchmark alone-IPC (needed by HS). It is
-// safe for concurrent use and runs each benchmark's solo simulation
-// exactly once (singleflight): concurrent misses on the same key wait for
-// the in-flight run rather than paying a duplicate simulation. Errors are
-// cached like values — runSolo is deterministic for fixed options and
-// seed, so a retry would fail identically.
-type soloIPCCache struct {
-	opts Options
-	// runFn is runSolo, injectable so tests can count invocations.
-	runFn func(Options, workload.Spec, int64, uint64, int) (soloRun, error)
-	mu    sync.Mutex
-	m     map[string]*soloEntry
-}
-
-func newSoloIPCCache(opts Options) *soloIPCCache {
-	return &soloIPCCache{opts: opts, runFn: runSolo, m: map[string]*soloEntry{}}
-}
-
-func (c *soloIPCCache) get(spec workload.Spec) (float64, error) {
-	c.mu.Lock()
-	e, ok := c.m[spec.Name]
-	if !ok {
-		e = &soloEntry{done: make(chan struct{})}
-		c.m[spec.Name] = e
-		c.mu.Unlock()
-		r, err := runSoloCached(c.opts, spec, c.opts.BaseSeed, 0, 0, c.runFn)
-		e.ipc, e.err = r.IPC, err
-		close(e.done)
-		return e.ipc, e.err
-	}
-	c.mu.Unlock()
-	<-e.done
-	return e.ipc, e.err
-}
-
-// precompute fills the cache for every benchmark appearing in the mixes,
-// fanning the solo runs out across the worker pool.
-func (c *soloIPCCache) precompute(specs []workload.Spec, workers int, prog *progressCounter) error {
-	return parallel.ForEachCtx(c.opts.ctx(), workers, len(specs), func(i int) error {
-		if _, err := c.get(specs[i]); err != nil {
+// soloIPCs runs the alone-IPC simulation (needed by HS) of each distinct
+// benchmark once, fanning the runs out across the worker pool, and returns
+// the IPCs by benchmark name. runFn is runSolo, or a test double counting
+// invocations.
+func soloIPCs(opts Options, specs []workload.Spec, prog *progressCounter, runFn soloRunner) (map[string]float64, error) {
+	ipcs := make([]float64, len(specs))
+	err := parallel.ForEachCtx(opts.ctx(), opts.Workers, len(specs), func(i int) error {
+		r, err := runSoloCached(opts, specs[i], opts.BaseSeed, 0, 0, runFn)
+		if err != nil {
 			return fmt.Errorf("alone IPC %s: %w", specs[i].Name, err)
 		}
+		ipcs[i] = r.IPC
 		prog.tick()
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	byName := make(map[string]float64, len(specs))
+	for i, spec := range specs {
+		byName[spec.Name] = ipcs[i]
+	}
+	return byName, nil
 }
 
 // uniqueSpecs lists each distinct benchmark of the mixes once, in first-
@@ -251,12 +218,13 @@ func RunComparison(opts Options, policies []cmm.Policy) (*Comparison, error) {
 // Fig. 13 set (e.g. the bandwidth-saturated family). Every mix must be
 // sized for opts.Cores.
 func RunComparisonMixes(opts Options, selected []mixes.Mix, policies []cmm.Policy) (*Comparison, error) {
-	return runComparison(opts, selected, policies, new(prefixCache))
+	return runComparison(opts, selected, policies, new(prefixCache), runSolo)
 }
 
-// runComparison is RunComparisonMixes with the sweep's prefix cache
-// supplied, so tests can inspect it afterwards.
-func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, prefixes *prefixCache) (*Comparison, error) {
+// runComparison is RunComparisonMixes with the sweep's prefix cache and
+// solo runner supplied, so tests can inspect the one afterwards and count
+// the other's invocations.
+func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, prefixes *prefixCache, runSoloFn soloRunner) (*Comparison, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,13 +242,13 @@ func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, pr
 
 	// Run index 0 is the baseline; index i+1 is policies[i].
 	runPolicies := append([]cmm.Policy{cmm.Baseline{}}, policies...)
-	solo := newSoloIPCCache(opts)
 	uniq := uniqueSpecs(selected)
 	nRuns := len(selected) * len(runPolicies) * len(opts.Seeds)
 	prog := newProgress(opts, len(uniq)+nRuns)
 
 	// Phase 1: per-benchmark alone-IPC runs (needed by HS), in parallel.
-	if err := solo.precompute(uniq, opts.Workers, prog); err != nil {
+	solo, err := soloIPCs(opts, uniq, prog, runSoloFn)
+	if err != nil {
 		return nil, err
 	}
 
@@ -306,7 +274,7 @@ func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, pr
 	}
 	prefixes.init(opts, len(selected), len(opts.Seeds), len(runPolicies))
 	defer prefixes.close()
-	err := parallel.ForEachCtx(opts.ctx(), opts.Workers, len(jobs), func(j int) error {
+	err = parallel.ForEachCtx(opts.ctx(), opts.Workers, len(jobs), func(j int) error {
 		jb := jobs[j]
 		mix, p, seed := selected[jb.mi], runPolicies[jb.pi], opts.Seeds[jb.si]
 		k := prefixKey{jb.mi, jb.si}
@@ -367,11 +335,7 @@ func runComparison(opts Options, selected []mixes.Mix, policies []cmm.Policy, pr
 	for mi, mix := range selected {
 		alone := make([]float64, len(mix.Specs))
 		for i, spec := range mix.Specs {
-			a, err := solo.get(spec)
-			if err != nil {
-				return nil, fmt.Errorf("alone IPC %s: %w", spec.Name, err)
-			}
-			alone[i] = a
+			alone[i] = solo[spec.Name]
 		}
 		base := runs[mi][0]
 		for pi, p := range policies {

@@ -191,7 +191,7 @@ func TestPrefixSharingMatchesColdOracle(t *testing.T) {
 			var sharedLog epochLog
 			shared.Telemetry = &sharedLog
 			pc := new(prefixCache)
-			got, err := runComparison(shared, selected, policies, pc)
+			got, err := runComparison(shared, selected, policies, pc, runSolo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +284,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 
 	t.Run("complete", func(t *testing.T) {
 		pc := new(prefixCache)
-		if _, err := runComparison(opts, selected, tinyPolicies(t, "PT"), pc); err != nil {
+		if _, err := runComparison(opts, selected, tinyPolicies(t, "PT"), pc, runSolo); err != nil {
 			t.Fatal(err)
 		}
 		checkReleased(t, pc)
@@ -300,7 +300,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 			t.Fatal(err)
 		}
 		pc := new(prefixCache)
-		if _, err := runComparison(o, selected, tinyPolicies(t, "PT"), pc); err != nil {
+		if _, err := runComparison(o, selected, tinyPolicies(t, "PT"), pc, runSolo); err != nil {
 			t.Fatal(err)
 		}
 		if pc.made != 0 {
@@ -310,7 +310,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 		// and the stored run after it releases the prefix for the next
 		// mix to reuse.
 		pc = new(prefixCache)
-		if _, err := runComparison(o, selected, tinyPolicies(t, "CMM-a", "PT"), pc); err != nil {
+		if _, err := runComparison(o, selected, tinyPolicies(t, "CMM-a", "PT"), pc, runSolo); err != nil {
 			t.Fatal(err)
 		}
 		checkReleased(t, pc)
@@ -331,7 +331,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 			}
 		}
 		pc := new(prefixCache)
-		if _, err := runComparison(o, selected, tinyPolicies(t, "PT"), pc); !errors.Is(err, context.Canceled) {
+		if _, err := runComparison(o, selected, tinyPolicies(t, "PT"), pc, runSolo); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if pc.made == 0 {
@@ -343,7 +343,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 	t.Run("run error", func(t *testing.T) {
 		pc := new(prefixCache)
 		policies := []cmm.Policy{failPolicy{}, tinyPolicies(t, "PT")[0]}
-		if _, err := runComparison(opts, selected, policies, pc); err == nil {
+		if _, err := runComparison(opts, selected, policies, pc, runSolo); err == nil {
 			t.Fatal("failing policy did not fail the sweep")
 		}
 		if pc.made == 0 {
@@ -355,7 +355,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 	t.Run("follower error", func(t *testing.T) {
 		pc := new(prefixCache)
 		pt := tinyPolicies(t, "PT")[0]
-		if _, err := runComparison(opts, selected, []cmm.Policy{pt, &failAfter{inner: relabelPolicy{pt}, at: 2}}, pc); err == nil {
+		if _, err := runComparison(opts, selected, []cmm.Policy{pt, &failAfter{inner: relabelPolicy{pt}, at: 2}}, pc, runSolo); err == nil {
 			t.Fatal("failing policy did not fail the sweep")
 		}
 		if pc.followed != 1 {
@@ -367,7 +367,7 @@ func TestPrefixReleasedOnEveryExit(t *testing.T) {
 	t.Run("replayed error", func(t *testing.T) {
 		pc := new(prefixCache)
 		cmmA := tinyPolicies(t, "CMM-a")[0]
-		if _, err := runComparison(opts, selected, []cmm.Policy{cmmA, &failAfter{inner: &mirrorPolicy{inner: cmmA}, at: 2}}, pc); err == nil {
+		if _, err := runComparison(opts, selected, []cmm.Policy{cmmA, &failAfter{inner: &mirrorPolicy{inner: cmmA}, at: 2}}, pc, runSolo); err == nil {
 			t.Fatal("failing policy did not fail the sweep")
 		}
 		if pc.replayed != 1 {
@@ -416,7 +416,7 @@ func TestHistorySharingAccounting(t *testing.T) {
 			policies[i] = all[j]
 		}
 		pc := new(prefixCache)
-		comp, err := runComparison(opts, selected, policies, pc)
+		comp, err := runComparison(opts, selected, policies, pc, runSolo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestHistorySharingAccounting(t *testing.T) {
 			}
 		}
 		pc := new(prefixCache)
-		if _, err := runComparison(o, selected, all, pc); !errors.Is(err, context.Canceled) {
+		if _, err := runComparison(o, selected, all, pc, runSolo); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		checkReleased(t, pc)
@@ -462,7 +462,7 @@ func TestHistorySharingAccounting(t *testing.T) {
 		}
 		pc := new(prefixCache)
 		policies := []cmm.Policy{byName["CMM-a"], &failAfter{inner: byName["CMM-b"], at: 2}}
-		if _, err := runComparison(opts, selected, policies, pc); err == nil {
+		if _, err := runComparison(opts, selected, policies, pc, runSolo); err == nil {
 			t.Fatal("failing policy did not fail the sweep")
 		}
 		if pc.followed != 1 {

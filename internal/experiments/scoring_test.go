@@ -4,9 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"cmm/internal/mixes"
 	"cmm/internal/workload"
@@ -136,53 +134,34 @@ func TestScoreRunsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSoloCacheSingleflight verifies the duplicate-run fix: many
-// goroutines missing the same benchmark at once trigger exactly one solo
-// simulation, and all of them observe its value (or its error).
-func TestSoloCacheSingleflight(t *testing.T) {
-	var calls atomic.Int64
-	c := newSoloIPCCache(QuickOptions())
-	c.runFn = func(_ Options, spec workload.Spec, _ int64, _ uint64, _ int) (soloRun, error) {
-		calls.Add(1)
-		time.Sleep(20 * time.Millisecond) // hold the flight open
-		return soloRun{IPC: 0.5}, nil
+// TestSoloRunsOncePerBenchmark checks that one comparison, fanned out
+// over eight workers, runs each distinct benchmark's solo simulation
+// exactly once.
+func TestSoloRunsOncePerBenchmark(t *testing.T) {
+	opts := tinyOptions()
+	opts.Workers = 8
+	selected, err := mixes.Selection(opts.Cores, opts.BaseSeed, opts.MixesPerCategory)
+	if err != nil {
+		t.Fatal(err)
 	}
-	spec := workload.Spec{Name: "only-once"}
-	const workers = 16
-	got := make([]float64, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := c.get(spec)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = v
-		}(i)
+	var mu sync.Mutex
+	calls := map[string]int{}
+	count := func(o Options, spec workload.Spec, seed int64, msrVal uint64, ways int) (soloRun, error) {
+		mu.Lock()
+		calls[spec.Name]++
+		mu.Unlock()
+		return runSolo(o, spec, seed, msrVal, ways)
 	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("runSolo invoked %d times for one benchmark, want exactly 1", n)
+	if _, err := runComparison(opts, selected, tinyPolicies(t, "PT"), new(prefixCache), count); err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != 0.5 {
-			t.Errorf("caller %d saw %g, want 0.5", i, v)
+	uniq := uniqueSpecs(selected)
+	if len(calls) != len(uniq) {
+		t.Errorf("solo runs covered %d benchmarks, want the mixes' %d", len(calls), len(uniq))
+	}
+	for _, spec := range uniq {
+		if n := calls[spec.Name]; n != 1 {
+			t.Errorf("benchmark %s: %d solo runs, want 1", spec.Name, n)
 		}
-	}
-	// A distinct key is its own flight.
-	if _, err := c.get(workload.Spec{Name: "second"}); err != nil {
-		t.Fatal(err)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("second benchmark: %d total calls, want 2", n)
-	}
-	// And a hit never re-runs.
-	if _, err := c.get(spec); err != nil {
-		t.Fatal(err)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("cache hit re-ran the simulation (%d calls)", n)
 	}
 }

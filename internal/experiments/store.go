@@ -197,10 +197,12 @@ func runPolicyCached(opts Options, mix mixes.Mix, policy cmm.Policy, seed int64,
 	return r, nil
 }
 
+// soloRunner is runSolo's signature.
+type soloRunner func(Options, workload.Spec, int64, uint64, int) (soloRun, error)
+
 // runSoloCached is the solo-run analogue of runPolicyCached. runFn is the
 // actual runner (runSolo, or a test double counting invocations).
-func runSoloCached(opts Options, spec workload.Spec, seed int64, msrVal uint64, ways int,
-	runFn func(Options, workload.Spec, int64, uint64, int) (soloRun, error)) (soloRun, error) {
+func runSoloCached(opts Options, spec workload.Spec, seed int64, msrVal uint64, ways int, runFn soloRunner) (soloRun, error) {
 	if opts.Store == nil {
 		return runFn(opts, spec, seed, msrVal, ways)
 	}

@@ -281,11 +281,15 @@ func (s *Store) writeRecord(rec *Record) error {
 
 // Enqueue persists a new queued record for id. The request payload is
 // the submission's wire JSON so any worker can rebuild the job; the
-// optional resultHash becomes the record's ResultHash.
+// optional resultHash becomes the record's ResultHash. Enqueueing over an
+// ended record starts a fresh generation: attempt 0, no error history,
+// and no cancel request left behind by a cancel that raced the old
+// generation's end.
 func (s *Store) Enqueue(id string, request []byte, maxAttempts int, resultHash ...string) (*Record, error) {
 	if maxAttempts <= 0 {
 		maxAttempts = 1
 	}
+	s.fsys.Remove(s.cancelPath(id))
 	rec := &Record{
 		ID:          id,
 		Request:     json.RawMessage(request),

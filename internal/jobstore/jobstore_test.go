@@ -692,3 +692,42 @@ func TestReapExpiredHonorsCancelRequest(t *testing.T) {
 		t.Error("cancel flag survives the reap")
 	}
 }
+
+// TestLeaseReEnqueueStartsFreshGeneration pins re-enqueueing an id whose
+// record has ended, as the server does for a result hash's lookup job: the
+// new generation is queued at attempt 0 with no history, and a cancel
+// flag that landed after the old generation ended does not cancel it.
+func TestLeaseReEnqueueStartsFreshGeneration(t *testing.T) {
+	a, b, _ := twoWorkers(t)
+	rec, _ := a.Enqueue("job-1", []byte(`{}`), 1, "hash-1")
+	l, err := a.Claim("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.MarkRunning(l, rec); err != nil {
+		t.Fatal(err)
+	}
+	if retried, err := a.Fail(l, rec, "boom"); err != nil || retried {
+		t.Fatalf("fail at the attempt limit = (retried %v, %v), want quarantined", retried, err)
+	}
+	// A cancel that read the record live and wrote its flag only after the
+	// generation ended leaves the flag behind.
+	payload, _ := json.Marshal(cancelFlag{Worker: "w-b", Reason: "cancelled by client"})
+	if err := (faultinject.OS{}).WriteFile(b.cancelPath("job-1"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := b.Enqueue("job-1", []byte(`{}`), 3, "hash-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.State != StateQueued || fresh.Attempt != 0 || len(fresh.Errors) != 0 {
+		t.Fatalf("re-enqueued record %+v, want queued at attempt 0 with no history", fresh)
+	}
+	if _, ok := a.CancelRequested("job-1"); ok {
+		t.Fatal("the new generation inherited the old generation's cancel flag")
+	}
+	if _, err := a.Claim("job-1"); err != nil {
+		t.Fatalf("claim of the new generation = %v", err)
+	}
+}

@@ -331,6 +331,66 @@ func TestRetryBackoffReachesDone(t *testing.T) {
 	}
 }
 
+// TestAttemptTimeoutRetriesJob pins Config.AttemptTimeout: an attempt
+// that outlives it is a failed attempt, retried after the backoff, not a
+// job cancellation.
+func TestAttemptTimeoutRetriesJob(t *testing.T) {
+	var executions atomic.Int64
+	counters := &telemetry.Counters{}
+	_, ts := tinyServer(t, Config{
+		Workers:        1,
+		Counters:       counters,
+		MaxAttempts:    3,
+		AttemptTimeout: 50 * time.Millisecond,
+		execute: func(ctx context.Context, j *job) (any, error) {
+			if executions.Add(1) == 1 {
+				<-ctx.Done() // blocks past the attempt timeout
+				return nil, ctx.Err()
+			}
+			return map[string]bool{"ok": true}, nil
+		},
+	})
+
+	st := postJob(t, ts, `{"preset":"tiny"}`)
+	got := awaitState(t, ts, st.ID, StateDone)
+	if got.Attempt != 2 || len(got.Attempts) != 1 || !strings.Contains(got.Attempts[0], "deadline exceeded") {
+		t.Errorf("attempt=%d history=%v, want done on attempt 2 after one deadline error", got.Attempt, got.Attempts)
+	}
+	if n := counters.Snapshot()["jobs_retried_total"]; n != 1 {
+		t.Errorf("jobs_retried_total = %d, want 1", n)
+	}
+}
+
+// TestJobTimeoutCancelsWithoutRetry pins timeout_seconds: a job that
+// outlives it ends canceled on its first attempt and is not retried.
+func TestJobTimeoutCancelsWithoutRetry(t *testing.T) {
+	var executions atomic.Int64
+	counters := &telemetry.Counters{}
+	_, ts := tinyServer(t, Config{
+		Workers:     1,
+		Counters:    counters,
+		MaxAttempts: 3,
+		execute: func(ctx context.Context, j *job) (any, error) {
+			executions.Add(1)
+			<-ctx.Done() // blocks past the job timeout
+			return nil, ctx.Err()
+		},
+	})
+
+	st := postJob(t, ts, `{"preset":"tiny","timeout_seconds":1}`)
+	got := awaitState(t, ts, st.ID, StateCanceled)
+	if got.Attempt != 1 || !strings.Contains(got.Error, "deadline exceeded") {
+		t.Errorf("attempt=%d error=%q, want canceled on attempt 1 by the deadline", got.Attempt, got.Error)
+	}
+	time.Sleep(100 * time.Millisecond) // several scan intervals
+	if n := executions.Load(); n != 1 {
+		t.Errorf("timed-out job executed %d times, want 1", n)
+	}
+	if n := counters.Snapshot()["jobs_retried_total"]; n != 0 {
+		t.Errorf("jobs_retried_total = %d, want 0", n)
+	}
+}
+
 // TestUnrenderableResultFailsAttempt pins that a result the canonical
 // encoder rejects is a failed attempt, not a done job without bytes.
 func TestUnrenderableResultFailsAttempt(t *testing.T) {

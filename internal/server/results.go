@@ -108,11 +108,27 @@ func resultWait(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// awaitResult polls the run store for key until the bytes appear,
-// the deadline passes, the request is abandoned, or the optional job id
-// driving the compute ends failed or canceled without publishing. It
-// reports the bytes (ok) or that job's ended record (nil otherwise).
-func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, id string) ([]byte, bool, *jobstore.Record) {
+// lookupID is the id of the compute-on-miss job for a result hash. One
+// id per hash makes the job's record the cluster-wide singleflight: every
+// worker that shares the jobs directory reads the same record.
+func lookupID(key string) string { return "lookup-" + key }
+
+// liveLookup returns the record of the compute-on-miss job for key while
+// it is in flight (queued or running), and nil otherwise.
+func (s *Server) liveLookup(key string) *jobstore.Record {
+	rec, err := s.cfg.Jobs.Get(lookupID(key))
+	if err != nil || (rec.State != StateQueued && rec.State != StateRunning) {
+		return nil
+	}
+	return rec
+}
+
+// awaitResult polls the run store for key until the bytes appear, the
+// deadline passes, or the request is abandoned. With follow it also
+// watches key's compute-on-miss record and stops when that ends failed or
+// canceled. It reports the bytes (ok) or the ended record (nil
+// otherwise).
+func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, follow bool) ([]byte, bool, *jobstore.Record) {
 	deadline := time.Now().Add(wait)
 	t := time.NewTicker(resultPollInterval)
 	defer t.Stop()
@@ -125,8 +141,8 @@ func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, id
 		if b, ok := s.cfg.Store.Get(key); ok {
 			return b, true, nil
 		}
-		if id != "" {
-			if rec, err := s.cfg.Jobs.Get(id); err == nil && (rec.State == StateFailed || rec.State == StateCanceled) {
+		if follow {
+			if rec, err := s.cfg.Jobs.Get(lookupID(key)); err == nil && (rec.State == StateFailed || rec.State == StateCanceled) {
 				return nil, false, rec
 			}
 		}
@@ -136,20 +152,43 @@ func (s *Server) awaitResult(r *http.Request, key string, wait time.Duration, id
 	}
 }
 
-// lookupJobFor returns the compute-on-miss job id for a result hash, or
-// "".
-func (s *Server) lookupJobFor(key string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookups[key]
+// answerMiss answers a read of a result the store lacks. live is key's
+// compute-on-miss record if it was in flight before any wait, else nil.
+// A wait blocks for the bytes, following live only, so a compute that had
+// already ended is not mistaken for this one; it answers 502 if live ends
+// failed or canceled. Without the bytes the answer is 202 with the record
+// of a compute in flight (live, or the record read after the wait), or
+// 404.
+func (s *Server) answerMiss(w http.ResponseWriter, r *http.Request, key string, wait time.Duration, live *jobstore.Record) {
+	if wait > 0 {
+		b, ok, ended := s.awaitResult(r, key, wait, live != nil)
+		if ok {
+			s.serveResultBytes(w, r, key, b)
+			return
+		}
+		if ended != nil {
+			httpError(w, http.StatusBadGateway, "compute for result %s ended %s: %s", key, ended.State, ended.LastError())
+			return
+		}
+		live = s.liveLookup(key)
+	}
+	if live != nil {
+		writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": key, "job": status(live)})
+		return
+	}
+	httpError(w, http.StatusNotFound,
+		"no result %s; POST the config to /v1/results/lookup to compute it", key)
 }
 
 // handleGetResult is GET /v1/results/{hash}: the sub-millisecond read
 // path, answered by the run store: a warm request costs its LRU mutex, a
 // cold one reads the disk body. The hash is not invertible, so a miss
 // cannot trigger a compute here — 404 points the client at
-// POST /v1/results/lookup, and ?wait= blocks for a result another
-// request (or cluster worker) is already producing.
+// POST /v1/results/lookup, and ?wait= blocks for a result a lookup on any
+// cluster worker is already computing. Only a wait reads the lookup's
+// record: probing the jobs directory for every unknown hash doubled the
+// read p99 of perfbench's service-mix on 2 vCPUs, so a plain miss stays
+// off the disk.
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	hash := strings.ToLower(r.PathValue("hash"))
 	if !validResultHash(hash) {
@@ -167,34 +206,20 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Counters.ReadMiss()
+	var live *jobstore.Record
 	if wait > 0 {
-		b, ok, ended := s.awaitResult(r, hash, wait, s.lookupJobFor(hash))
-		if ok {
-			s.serveResultBytes(w, r, hash, b)
-			return
-		}
-		if ended != nil {
-			httpError(w, http.StatusBadGateway, "compute for result %s ended %s without publishing", hash, ended.State)
-			return
-		}
+		live = s.liveLookup(hash)
 	}
-	if id := s.lookupJobFor(hash); id != "" {
-		if rec, err := s.cfg.Jobs.Get(id); err == nil {
-			writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": hash, "job": status(rec)})
-			return
-		}
-	}
-	httpError(w, http.StatusNotFound,
-		"no result %s; POST the config to /v1/results/lookup to compute it", hash)
+	s.answerMiss(w, r, hash, wait, live)
 }
 
 // handleLookup is POST /v1/results/lookup: the request body is a job
 // config (the POST /v1/jobs schema), canonicalized server-side to its
 // content hash. A cached result is served immediately — including while
 // draining, since reads stay safe during shutdown. On a miss the config
-// is enqueued as a regular job, deduplicated per hash (HTTP-level
-// singleflight), and ?wait= optionally blocks for publication; without
-// it the response is 202 with the hash and job status to poll.
+// is enqueued as job lookup-<hash>, shared by every lookup of the hash
+// while it is in flight, and ?wait= optionally blocks for publication;
+// without it the response is 202 with the hash and job status to poll.
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
@@ -232,43 +257,22 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		httpUnavailable(w, "%v", err)
 		return
 	}
-	if wait > 0 {
-		b, ok, ended := s.awaitResult(r, key, wait, rec.ID)
-		if ok {
-			s.serveResultBytes(w, r, key, b)
-			return
-		}
-		if ended != nil {
-			httpError(w, http.StatusBadGateway, "compute for result %s ended %s: %s", key, ended.State, ended.LastError())
-			return
-		}
-		if fresh, err := s.cfg.Jobs.Get(rec.ID); err == nil {
-			rec = fresh
-		}
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"result_hash": key, "job": status(rec)})
+	s.answerMiss(w, r, key, wait, rec)
 }
 
 // ensureLookupJob is the compute-on-miss singleflight: at most one live
-// job per result hash. If the record of the job already covering the hash
-// is queued or running it is shared; otherwise j is enqueued. It returns
-// the record of the job the caller should follow.
+// job per result hash, under the id lookup-<hash>. A record in flight is
+// shared; otherwise j is enqueued under that id, overwriting any ended
+// record with a fresh generation (attempt 0). Two workers may both find
+// no live record and both enqueue: the lease still lets one execute, and
+// a record rewritten after the result was stored is answered from the
+// store at claim. It returns the record the caller should follow.
 func (s *Server) ensureLookupJob(j *job, rawReq []byte) (*jobstore.Record, error) {
 	s.lookupMu.Lock()
 	defer s.lookupMu.Unlock()
-	if id := s.lookupJobFor(j.resultKey); id != "" {
-		if rec, err := s.cfg.Jobs.Get(id); err == nil && (rec.State == StateQueued || rec.State == StateRunning) {
-			return rec, nil
-		}
+	if rec := s.liveLookup(j.resultKey); rec != nil {
+		return rec, nil
 	}
-	// The entry goes in before the job can finish and clear it.
-	s.mu.Lock()
-	s.lookups[j.resultKey] = j.id
-	s.mu.Unlock()
-	rec, err := s.enqueueJob(j, rawReq)
-	if err != nil {
-		s.clearLookup(j)
-		return nil, err
-	}
-	return rec, nil
+	j.id = lookupID(j.resultKey)
+	return s.enqueueJob(j, rawReq)
 }

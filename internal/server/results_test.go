@@ -169,13 +169,16 @@ func TestLookupSingleflight(t *testing.T) {
 
 	const n = 16
 	codes := make([]int, n)
+	hashes := make([]string, n)
 	bodies := make([][]byte, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], _, bodies[i] = postLookup(t, ts, "?wait=30s", `{"kind":"comparison","preset":"tiny","policies":["PT"]}`)
+			var hdr http.Header
+			codes[i], hdr, bodies[i] = postLookup(t, ts, "?wait=30s", `{"kind":"comparison","preset":"tiny","policies":["PT"]}`)
+			hashes[i] = hdr.Get("X-Result-Hash")
 		}(i)
 	}
 	wg.Wait()
@@ -192,20 +195,11 @@ func TestLookupSingleflight(t *testing.T) {
 		}
 	}
 
-	// The dedup entry must be gone after the terminal transition, so the
-	// singleflight map cannot leak jobs. The worker clears it just after
-	// storing the bytes the waiters return with, so allow it a moment.
-	var left int
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		left = len(s.lookups)
-		s.mu.Unlock()
-		if left == 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-	if left != 0 {
-		t.Errorf("%d lookup entries linger 5s after completion, want 0", left)
+	// The record lookup-<hash> did the deduping: it ends done, and it is
+	// the only job the lookups left.
+	awaitState(t, ts, lookupID(hashes[0]), StateDone)
+	if jobs := listJobs(t, ts); len(jobs) != 1 {
+		t.Errorf("%d lookups left %d jobs, want 1: %+v", n, len(jobs), jobs)
 	}
 }
 
@@ -362,6 +356,119 @@ func TestLookupComputeFailure(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "synthetic compute failure") {
 		t.Errorf("502 body %q does not carry the cause", body)
+	}
+}
+
+// TestLookupCanceledAnswersNotFound pins that a canceled lookup leaves
+// its hash with no compute in flight: GET answers 404 with or without a
+// wait (the wait reads the record lookup-<hash> and finds it ended, not a
+// per-process memory of the job), and the next lookup starts a fresh
+// generation of the same record that computes the result.
+func TestLookupCanceledAnswersNotFound(t *testing.T) {
+	_, ts, release, started := blockingServer(t, Config{Workers: 1, QueueDepth: 8})
+	postJob(t, ts, `{"preset":"tiny","seeds":[1]}`) // parks the only worker
+	<-started
+
+	const cfgJSON = `{"preset":"tiny","seeds":[2]}`
+	code, _, body := postLookup(t, ts, "", cfgJSON)
+	if code != http.StatusAccepted {
+		t.Fatalf("lookup behind a busy worker: status %d (%s), want 202", code, body)
+	}
+	var accepted struct {
+		ResultHash string    `json:"result_hash"`
+		Job        jobStatus `json:"job"`
+	}
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+accepted.Job.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, q := range []string{"", "?wait=50ms"} {
+		if code, _, body := getRaw(t, ts.URL+"/v1/results/"+accepted.ResultHash+q, nil); code != http.StatusNotFound {
+			t.Errorf("GET%s after the lookup was canceled: status %d (%s), want 404", q, code, body)
+		}
+	}
+	if want := lookupID(accepted.ResultHash); accepted.Job.ID != want {
+		t.Errorf("lookup job id %q, want %q", accepted.Job.ID, want)
+	}
+
+	close(release)
+	if code, _, body := postLookup(t, ts, "?wait=30s", cfgJSON); code != http.StatusOK {
+		t.Fatalf("lookup after the cancel: status %d (%s), want 200", code, body)
+	}
+	if st := awaitState(t, ts, accepted.Job.ID, StateDone); st.Attempt != 1 || len(st.Attempts) != 0 {
+		t.Errorf("new generation %+v, want attempt 1 with no history", st)
+	}
+}
+
+// TestLookupSharedAcrossWorkers pins the cluster-wide singleflight: two
+// servers on one run store and jobs directory take concurrent waiting
+// lookups of one config and run the compute once. Whichever way the two
+// admissions interleave, both name the record lookup-<hash>: if both
+// enqueue it, the lease lets one execute, and a generation rewritten after
+// the result was stored is answered from the store at claim.
+func TestLookupSharedAcrossWorkers(t *testing.T) {
+	storeDir, jobsDir := t.TempDir(), t.TempDir()
+	var execs atomic.Int64
+	exec := func(ctx context.Context, j *job) (any, error) {
+		execs.Add(1)
+		time.Sleep(100 * time.Millisecond) // both lookups arrive while it runs
+		return map[string]string{"payload": "shared"}, nil
+	}
+	_, tsA, _ := chaosWorker(t, storeDir, jobsDir, "w-a", 2*time.Second, exec)
+	sB, tsB, _ := chaosWorker(t, storeDir, jobsDir, "w-b", 2*time.Second, exec)
+
+	const cfgJSON = `{"preset":"tiny","policies":["PT"]}`
+	servers := []*httptest.Server{tsA, tsB}
+	codes := make([]int, len(servers))
+	bodies := make([][]byte, len(servers))
+	var wg sync.WaitGroup
+	for i, ts := range servers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i], _, bodies[i] = postLookup(t, ts, "?wait=30s", cfgJSON)
+		}()
+	}
+	wg.Wait()
+
+	for i := range servers {
+		if codes[i] != http.StatusOK || !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("lookup on worker %d: status %d (%s), want 200 and worker 0's bytes", i, codes[i], bodies[i])
+		}
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("concurrent lookups on two workers ran %d computes, want 1", n)
+	}
+	if jobs := listJobs(t, tsB); len(jobs) != 1 || !strings.HasPrefix(jobs[0].ID, "lookup-") {
+		t.Errorf("two workers' lookups left jobs %+v, want one lookup-<hash>", jobs)
+	}
+
+	// A worker that found no live record before the compute started may
+	// enqueue only after it ended, over the done record: the new
+	// generation is answered from the store at claim, without a second
+	// compute. The waiters return once the bytes are stored, just before
+	// the done write, so wait for that first.
+	j, err := sB.buildJob(jobRequest{Preset: "tiny", Policies: []string{"PT"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.id = lookupID(j.resultKey)
+	awaitState(t, tsB, j.id, StateDone)
+	if _, err := sB.enqueueJob(j, []byte(cfgJSON)); err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, tsB, j.id, StateDone)
+	if rec, err := sB.cfg.Jobs.Get(j.id); err != nil || rec.Attempt != 0 {
+		t.Errorf("rewritten generation %+v (%v), want done at attempt 0 (answered from the store)", rec, err)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("a generation enqueued after the result was stored ran the compute again (%d computes)", n)
 	}
 }
 

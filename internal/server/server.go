@@ -160,13 +160,8 @@ type Server struct {
 	// never exceeds QueueDepth + Workers entries.
 	local    map[string]*job
 	draining bool
-	// lookups deduplicates compute-on-miss: it maps a result hash to the
-	// job POST /v1/results/lookup enqueued for it, and concurrent lookups
-	// for the same config share that job while its record is live (the
-	// HTTP-level singleflight over the store's own). Entries are cleared
-	// on terminal transitions here and replaced when found ended.
-	lookups map[string]string
-	// lookupMu serializes compute-on-miss admission (ensureLookupJob).
+	// lookupMu serializes compute-on-miss admission (ensureLookupJob), so
+	// concurrent local lookups of one hash write its record once.
 	lookupMu sync.Mutex
 
 	// counts is the per-state job count (jobStates order) the scanner's
@@ -199,7 +194,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		queue:    newJobQueue(cfg.QueueDepth),
 		local:    map[string]*job{},
-		lookups:  map[string]string{},
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
 	}
@@ -654,7 +648,7 @@ func (s *Server) run(j *job) {
 		rec.StartedAt = s.cfg.Jobs.Now()
 		rec.Progress = jobstore.Progress{Done: 1, Total: 1}
 		s.cfg.Counters.JobAnsweredFromStore()
-		s.finishDone(j, lease, rec)
+		s.finishDone(lease, rec)
 		return
 	}
 	if err := s.cfg.Jobs.MarkRunning(lease, rec); err != nil {
@@ -762,16 +756,16 @@ func (s *Server) run(j *job) {
 		if _, ok := s.cfg.Store.Get(j.resultKey); !ok {
 			s.cfg.Store.Put(j.resultKey, raw)
 		}
-		s.finishDone(j, lease, rec)
+		s.finishDone(lease, rec)
 	case jobCtx.Err() != nil:
 		if cancelReason == "" {
 			cancelReason = err.Error()
 		}
-		s.finishCanceled(j, lease, rec, cancelReason)
+		s.finishCanceled(lease, rec, cancelReason)
 	default:
 		// Failed attempt (including a per-attempt timeout): retry with
 		// backoff until MaxAttempts, then quarantine.
-		s.finishFailedAttempt(j, lease, rec, err)
+		s.finishFailedAttempt(lease, rec, err)
 	}
 }
 
@@ -780,43 +774,28 @@ func (s *Server) run(j *job) {
 // after its bytes and the job endpoint and the read path serve the same
 // payload. A record write that fails for any reason but a lost lease is a
 // failed attempt.
-func (s *Server) finishDone(j *job, lease *jobstore.Lease, rec *jobstore.Record) {
-	if err := s.cfg.Jobs.Complete(lease, rec); err != nil {
-		if !errors.Is(err, jobstore.ErrLeaseLost) {
-			s.finishFailedAttempt(j, lease, rec, err)
-		}
-		return
+func (s *Server) finishDone(lease *jobstore.Lease, rec *jobstore.Record) {
+	if err := s.cfg.Jobs.Complete(lease, rec); err != nil && !errors.Is(err, jobstore.ErrLeaseLost) {
+		s.finishFailedAttempt(lease, rec, err)
 	}
-	s.clearLookup(j)
 }
 
 // finishCanceled handles a job whose context ended: client cancellation,
 // the job-level timeout, or a forced shutdown. A forced shutdown requeues
 // the job so surviving workers finish it instead.
-func (s *Server) finishCanceled(j *job, lease *jobstore.Lease, rec *jobstore.Record, reason string) {
+func (s *Server) finishCanceled(lease *jobstore.Lease, rec *jobstore.Record, reason string) {
 	if s.baseCtx.Err() != nil {
 		// Forced drain: hand the in-flight job back to the cluster.
 		s.cfg.Jobs.Requeue(lease, rec)
 		return
 	}
 	s.cfg.Jobs.CancelUnderLease(lease, rec, reason)
-	s.clearLookup(j)
-}
-
-// clearLookup drops j's compute-on-miss dedup entry once it is terminal,
-// so a later lookup for the same config can enqueue a fresh job.
-func (s *Server) clearLookup(j *job) {
-	s.mu.Lock()
-	if s.lookups[j.resultKey] == j.id {
-		delete(s.lookups, j.resultKey)
-	}
-	s.mu.Unlock()
 }
 
 // finishFailedAttempt charges one failed attempt: requeue with backoff
 // below MaxAttempts, quarantine at the limit. When the record cannot be
 // written the lease expires and a reaper requeues the job.
-func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstore.Record, execErr error) {
+func (s *Server) finishFailedAttempt(lease *jobstore.Lease, rec *jobstore.Record, execErr error) {
 	retried, err := s.cfg.Jobs.Fail(lease, rec, execErr.Error())
 	switch {
 	case err != nil:
@@ -826,7 +805,6 @@ func (s *Server) finishFailedAttempt(j *job, lease *jobstore.Lease, rec *jobstor
 		s.cfg.Counters.JobRetried()
 	default:
 		s.cfg.Counters.JobQuarantined()
-		s.clearLookup(j)
 	}
 }
 

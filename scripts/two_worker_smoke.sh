@@ -11,7 +11,10 @@
 # Phase 2 (cross-node cancel): restarts the killed worker, submits a
 # second job, and DELETEs it through the worker that does NOT hold the
 # lease. The durable cancel flag must reach the leaseholder via its
-# heartbeat and drive the job to the terminal canceled state.
+# heartbeat and drive the job to the terminal canceled state. Then one
+# uncached lookup posted without ?wait to each worker in turn must name
+# the same lookup-<hash> job in both 202s, and a waiting lookup on the
+# second worker must return the computed result.
 #
 # Phase 3 (model hot reload): trains and promotes a CMM-L model into the
 # registry both workers watch; both must hot-swap to it and serve a
@@ -204,6 +207,23 @@ for i in $(seq 1 60); do
     sleep 0.3
 done
 [ -n "$CANCELED" ] || fail "cross-node cancel never became terminal: $(cat "$WORK/status2.json")"
+
+# Compute-on-miss is deduplicated across workers by the job record
+# lookup-<hash>, not by either process's memory.
+LOOKUP='{"kind":"comparison","preset":"quick","seeds":[4],"mixes_per_category":1,"policies":["PT"]}'
+code=$(curl -s -o "$WORK/lookup_a.json" -w '%{http_code}' "$A_URL/v1/results/lookup" -d "$LOOKUP")
+[ "$code" = 202 ] || fail "uncached lookup on worker a: status $code: $(cat "$WORK/lookup_a.json")"
+code=$(curl -s -o "$WORK/lookup_b.json" -w '%{http_code}' "$B_URL/v1/results/lookup" -d "$LOOKUP")
+[ "$code" = 202 ] || fail "uncached lookup on worker b: status $code: $(cat "$WORK/lookup_b.json")"
+LK_A=$(jsonfield "$WORK/lookup_a.json" id)
+LK_B=$(jsonfield "$WORK/lookup_b.json" id)
+LK_HASH=$(jsonfield "$WORK/lookup_a.json" result_hash)
+[ "$LK_A" = "lookup-$LK_HASH" ] || fail "lookup on worker a enqueued $LK_A, want lookup-$LK_HASH"
+[ "$LK_B" = "$LK_A" ] || fail "lookups of one config on two workers name jobs $LK_A and $LK_B"
+code=$(curl -s -o "$WORK/lookup_wait.json" -w '%{http_code}' "$B_URL/v1/results/lookup?wait=2m" -d "$LOOKUP")
+[ "$code" = 200 ] || fail "waiting lookup on worker b: status $code: $(cat "$WORK/lookup_wait.json")"
+grep -q '"results"' "$WORK/lookup_wait.json" || fail "lookup payload looks wrong"
+echo "PASS (phase 2): lookups on both workers shared job $LK_A and the wait returned its result"
 
 # ---- Phase 3: model hot reload ---------------------------------------
 
