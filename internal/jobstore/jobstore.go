@@ -20,7 +20,8 @@
 //	<id>.lease  present while a worker owns the job (worker id, deadline)
 //	<id>.cancel a durable cancel request: any worker may create it; the
 //	            leaseholder observes it on its next heartbeat and aborts,
-//	            and Claim refuses flagged queued records
+//	            and Claim cancels a flagged queued record under the lease
+//	            it takes instead of returning that lease
 //	<id>.reap.<grant>
 //	            held while one reaper takes over the expired lease grant
 //	            <grant>; removed when the takeover ends, or by List once
@@ -39,8 +40,14 @@
 // record; the lease claim is an exclusive create, and expired-lease
 // takeover is won by the exclusive create of the expired grant's reap
 // marker, so exactly one reaper replaces any one grant. Every lease write
-// is fenced on the holder's grant. All I/O goes through the faultinject
-// seam.
+// is fenced on the holder's grant, and so is every record write after
+// Enqueue: all of them go through one commit that re-verifies the grant,
+// writes the record, and releases the lease for every state but running.
+// A cancel is therefore a flag honoured under a lease, never a bare
+// record write: RequestCancel writes the flag and claims a queued record
+// to cancel it, and a record another worker holds keeps the flag until
+// the holder's heartbeat, a later claimant or a reaper ends it canceled.
+// All I/O goes through the faultinject seam.
 package jobstore
 
 import (
@@ -353,12 +360,17 @@ func (s *Store) List() ([]*Record, error) {
 	return recs, nil
 }
 
-// Delete removes a job's record, lease and cancel flag (best-effort; used
-// when admission fails after the record was persisted).
+// Delete removes a job's record and cancel flag under a lease of its
+// own, then that lease (best-effort; used when admission fails after the
+// record was persisted). A job whose live lease another worker holds is
+// left to that worker.
 func (s *Store) Delete(id string) {
-	s.fsys.Remove(s.leasePath(id))
+	if _, err := s.acquire(id, s.clock.Now()); err != nil {
+		return
+	}
 	s.fsys.Remove(s.cancelPath(id))
 	s.fsys.Remove(s.recordPath(id))
+	s.fsys.Remove(s.leasePath(id))
 }
 
 // dropStaleMarker removes the reap marker at path once it is older than
@@ -375,8 +387,8 @@ func (s *Store) dropStaleMarker(path string) {
 }
 
 // Lease is a held claim on one job. The holder must Renew before the
-// deadline (heartbeat) and finish with Complete, Fail, Requeue, Cancel,
-// or Release.
+// deadline (heartbeat) and finish with Complete, Fail, Requeue,
+// CancelUnderLease, or Release.
 type Lease struct {
 	store    *Store
 	JobID    string
@@ -387,23 +399,20 @@ type Lease struct {
 // Claim attempts to take the lease on id. It succeeds when no lease
 // exists or the existing lease has expired (takeover: exactly one
 // claimant wins each expired grant). ErrLeaseHeld means a live lease is
-// in the way; ErrNotClaimable means the record is not queued or its
-// retry backoff has not elapsed.
+// in the way; ErrNotClaimable means the record is not queued, its
+// retry backoff has not elapsed, or it had a cancel request, which Claim
+// honoured under the lease.
 func (s *Store) Claim(id string) (*Lease, error) {
 	rec, err := s.Get(id)
 	if err != nil {
 		return nil, err
 	}
 	now := s.clock.Now()
+	reason, flagged := "", false
 	switch {
 	case rec.State == StateQueued:
-		if reason, ok := s.CancelRequested(id); ok {
-			// A durable cancel request beat us to the claim: finish the
-			// cancellation instead of running the job.
-			s.Cancel(id, reason)
-			return nil, ErrNotClaimable
-		}
-		if now.Before(rec.NotBefore) {
+		reason, flagged = s.CancelRequested(id)
+		if !flagged && now.Before(rec.NotBefore) {
 			return nil, ErrNotClaimable
 		}
 	case rec.State == StateRunning:
@@ -411,12 +420,29 @@ func (s *Store) Claim(id string) (*Lease, error) {
 	default:
 		return nil, ErrNotClaimable
 	}
+	lease, err := s.acquire(id, now)
+	if err != nil || !flagged {
+		return lease, err
+	}
+	// A durable cancel request beat us to the claim: finish the
+	// cancellation under the lease instead of running the job. The
+	// record is re-read under the lease, as a holder may have ended it
+	// since it was read above.
+	if rec, err := s.Get(id); err != nil || rec.State != StateQueued ||
+		s.commit(lease, rec, StateCanceled, reason) != nil {
+		lease.Release()
+	}
+	return nil, ErrNotClaimable
+}
 
+// acquire takes the lease on id whatever its record says: by exclusive
+// create when no lease exists, or by taking over an expired grant.
+func (s *Store) acquire(id string, now time.Time) (*Lease, error) {
 	lf := leaseFile{Worker: s.worker, Grant: fmt.Sprintf("%016x", mrand.Uint64()), Granted: now, Deadline: now.Add(s.ttl)}
 	payload, _ := json.Marshal(lf)
 	lease := &Lease{store: s, JobID: id, Deadline: lf.Deadline, grant: lf.Grant}
 	lp := s.leasePath(id)
-	err = s.fsys.CreateExclusive(lp, payload, 0o644)
+	err := s.fsys.CreateExclusive(lp, payload, 0o644)
 	if err == nil {
 		return lease, nil
 	}
@@ -516,17 +542,42 @@ func (l *Lease) Release() error {
 	return l.store.fsys.Remove(l.store.leasePath(l.JobID))
 }
 
-// MarkRunning transitions the claimed record to running, charging one
-// attempt and stamping StartedAt. Call immediately after Claim.
-func (s *Store) MarkRunning(l *Lease, rec *Record) error {
+// commit is the one fenced record write after Enqueue. It verifies that
+// l still holds its grant (else ErrLeaseLost, nothing written), stamps
+// state and this worker into rec, appends errMsg to the attempt history
+// when set, and writes the record. Every state but running releases the
+// lease; a terminal state also drops the cancel flag, which a requeued
+// job keeps for its next claim.
+func (s *Store) commit(l *Lease, rec *Record, state, errMsg string) error {
 	if err := l.verify(); err != nil {
 		return err
 	}
-	rec.State = StateRunning
-	rec.Attempt++
+	rec.State = state
 	rec.Worker = s.worker
+	if errMsg != "" {
+		rec.Errors = append(rec.Errors, AttemptError{
+			Attempt: rec.Attempt, Worker: s.worker, Time: s.clock.Now(), Error: errMsg,
+		})
+	}
+	if err := s.writeRecord(rec); err != nil {
+		return err
+	}
+	if state == StateRunning {
+		return nil
+	}
+	s.fsys.Remove(s.leasePath(rec.ID))
+	if state != StateQueued {
+		s.fsys.Remove(s.cancelPath(rec.ID))
+	}
+	return nil
+}
+
+// MarkRunning transitions the claimed record to running, charging one
+// attempt and stamping StartedAt. Call immediately after Claim.
+func (s *Store) MarkRunning(l *Lease, rec *Record) error {
+	rec.Attempt++
 	rec.StartedAt = s.clock.Now()
-	return s.writeRecord(rec)
+	return s.commit(l, rec, StateRunning, "")
 }
 
 // Complete marks the record done under the lease, then releases the
@@ -535,17 +586,7 @@ func (s *Store) MarkRunning(l *Lease, rec *Record) error {
 // its bytes. A lease that was reaped meanwhile yields ErrLeaseLost and
 // writes nothing.
 func (s *Store) Complete(l *Lease, rec *Record) error {
-	if err := l.verify(); err != nil {
-		return err
-	}
-	rec.State = StateDone
-	rec.Worker = s.worker
-	if err := s.writeRecord(rec); err != nil {
-		return err
-	}
-	s.fsys.Remove(s.leasePath(rec.ID))
-	s.fsys.Remove(s.cancelPath(rec.ID)) // finished before the cancel landed
-	return nil
+	return s.commit(l, rec, StateDone, "")
 }
 
 // Fail records a failed attempt under the lease. Below MaxAttempts the
@@ -553,68 +594,19 @@ func (s *Store) Complete(l *Lease, rec *Record) error {
 // at MaxAttempts it is quarantined: state failed, terminal, with the
 // full error history (retried=false). Either way the lease is released.
 func (s *Store) Fail(l *Lease, rec *Record, errMsg string) (retried bool, err error) {
-	if err := l.verify(); err != nil {
-		return false, err
-	}
-	now := s.clock.Now()
-	rec.Errors = append(rec.Errors, AttemptError{
-		Attempt: rec.Attempt, Worker: s.worker, Time: now, Error: errMsg,
-	})
-	rec.Worker = s.worker
 	if rec.Attempt >= rec.MaxAttempts {
-		rec.State = StateFailed
-		retried = false
-	} else {
-		rec.State = StateQueued
-		rec.NotBefore = now.Add(s.Backoff(rec.Attempt))
-		retried = true
+		return false, s.commit(l, rec, StateFailed, errMsg)
 	}
-	if err := s.writeRecord(rec); err != nil {
-		return retried, err
-	}
-	s.fsys.Remove(s.leasePath(rec.ID))
-	if !retried {
-		s.fsys.Remove(s.cancelPath(rec.ID)) // terminal; retried jobs keep the flag for the next Claim
-	}
-	return retried, nil
+	rec.NotBefore = s.clock.Now().Add(s.Backoff(rec.Attempt))
+	return true, s.commit(l, rec, StateQueued, errMsg)
 }
 
 // Requeue returns a running job to the queue under the lease without
 // charging an error — the drain path: a shutting-down worker hands its
 // in-flight jobs back to the cluster.
 func (s *Store) Requeue(l *Lease, rec *Record) error {
-	if err := l.verify(); err != nil {
-		return err
-	}
-	rec.State = StateQueued
 	rec.NotBefore = time.Time{}
-	rec.Worker = s.worker
-	if err := s.writeRecord(rec); err != nil {
-		return err
-	}
-	s.fsys.Remove(s.leasePath(rec.ID))
-	return nil
-}
-
-// Cancel marks a queued record canceled (best-effort; a worker that
-// claims concurrently re-reads the record and skips canceled jobs).
-func (s *Store) Cancel(id string, reason string) error {
-	rec, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	if rec.State != StateQueued && rec.State != StateRunning {
-		return nil
-	}
-	rec.State = StateCanceled
-	rec.Errors = append(rec.Errors, AttemptError{
-		Attempt: rec.Attempt, Worker: s.worker, Time: s.clock.Now(), Error: reason,
-	})
-	if err := s.writeRecord(rec); err != nil {
-		return err
-	}
-	s.fsys.Remove(s.cancelPath(id))
-	return nil
+	return s.commit(l, rec, StateQueued, "")
 }
 
 // cancelFlag is the on-disk cancel-request payload.
@@ -625,11 +617,13 @@ type cancelFlag struct {
 }
 
 // RequestCancel records a durable cancel request for id, from any worker
-// in the cluster — not just the leaseholder. A queued record is canceled
-// immediately; a running one keeps its flag file until the owning
-// worker's next heartbeat observes it and writes the terminal canceled
-// state under its lease (or, if the owner dies first, until a reaper or
-// claimant honors the flag). Terminal records are left untouched.
+// in the cluster — not just the leaseholder. A queued record is then
+// claimed and canceled under that lease; if another worker holds the
+// lease, the flag stays until the holder's next heartbeat observes it and
+// writes the terminal canceled state under its lease (or, if the holder
+// dies first, until a reaper or claimant honors the flag). A running
+// record keeps its flag the same way. Terminal records are left
+// untouched.
 func (s *Store) RequestCancel(id, reason string) error {
 	rec, err := s.Get(id)
 	if err != nil {
@@ -645,10 +639,12 @@ func (s *Store) RequestCancel(id, reason string) error {
 		return fmt.Errorf("jobstore: request cancel %s: %w", id, err)
 	}
 	if rec.State == StateQueued {
-		// Cancel it now if we can; a concurrently claiming worker either
-		// sees the canceled record (and refuses) or won the claim and will
-		// observe the flag on its first heartbeat.
-		return s.Cancel(id, reason)
+		// Claim of a flagged record cancels it. A lease it does return
+		// is over a fresh generation that Enqueue wrote meanwhile, which
+		// dropped this request's flag: that one is not ours to cancel.
+		if l, err := s.Claim(id); err == nil {
+			l.Release()
+		}
 	}
 	return nil
 }
@@ -673,20 +669,7 @@ func (s *Store) CancelRequested(id string) (reason string, ok bool) {
 // CancelUnderLease marks the held record canceled and releases the lease
 // (the owner observed its job's context cancelled by a client).
 func (s *Store) CancelUnderLease(l *Lease, rec *Record, reason string) error {
-	if err := l.verify(); err != nil {
-		return err
-	}
-	rec.State = StateCanceled
-	rec.Errors = append(rec.Errors, AttemptError{
-		Attempt: rec.Attempt, Worker: s.worker, Time: s.clock.Now(), Error: reason,
-	})
-	rec.Worker = s.worker
-	if err := s.writeRecord(rec); err != nil {
-		return err
-	}
-	s.fsys.Remove(s.leasePath(rec.ID))
-	s.fsys.Remove(s.cancelPath(rec.ID))
-	return nil
+	return s.commit(l, rec, StateCanceled, reason)
 }
 
 // ReapExpired checks a running record's lease and, when it has expired
@@ -698,9 +681,8 @@ func (s *Store) ReapExpired(rec *Record) (reaped bool, err error) {
 	if rec.State != StateRunning {
 		return false, nil
 	}
-	now := s.clock.Now()
 	lf, rerr := s.readLease(rec.ID)
-	if rerr == nil && now.Before(lf.Deadline) {
+	if rerr == nil && s.clock.Now().Before(lf.Deadline) {
 		return false, nil // owner is alive
 	}
 	if rerr != nil && os.IsNotExist(rerr) {
@@ -720,34 +702,24 @@ func (s *Store) ReapExpired(rec *Record) (reaped bool, err error) {
 		l.Release()
 		return false, nil
 	}
-	fresh.State = StateQueued
 	fresh.NotBefore = time.Time{}
+	state, errMsg := StateQueued, ""
 	if reason, ok := s.CancelRequested(rec.ID); ok {
 		// The dead owner never saw the client's cancel request; honor it
 		// now instead of requeueing work nobody wants.
-		fresh.State = StateCanceled
-		fresh.Errors = append(fresh.Errors, AttemptError{
-			Attempt: fresh.Attempt, Worker: s.worker, Time: now, Error: reason,
-		})
-	} else if rec.MaxAttempts > 0 && fresh.Attempt >= fresh.MaxAttempts {
+		state, errMsg = StateCanceled, reason
+	} else if fresh.Attempt >= fresh.MaxAttempts {
 		// The dead worker burned the last attempt; quarantine rather than
 		// loop forever on a job that kills its workers.
-		fresh.State = StateFailed
-		fresh.Errors = append(fresh.Errors, AttemptError{
-			Attempt: fresh.Attempt, Worker: s.worker, Time: now,
-			Error: fmt.Sprintf("lease expired (worker %s died); attempt limit reached", fresh.Worker),
-		})
+		state = StateFailed
+		errMsg = fmt.Sprintf("lease expired (worker %s died); attempt limit reached", fresh.Worker)
 	}
-	if l.verify() != nil {
-		return false, nil // our takeover was itself taken over
-	}
-	if err := s.writeRecord(fresh); err != nil {
+	if err := s.commit(l, fresh, state, errMsg); err != nil {
+		if errors.Is(err, ErrLeaseLost) {
+			return false, nil // our takeover was itself taken over
+		}
 		l.Release()
 		return false, err
-	}
-	s.fsys.Remove(s.leasePath(rec.ID))
-	if fresh.State != StateQueued {
-		s.fsys.Remove(s.cancelPath(rec.ID))
 	}
 	*rec = *fresh
 	return true, nil

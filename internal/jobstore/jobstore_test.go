@@ -3,6 +3,7 @@ package jobstore
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"strings"
 	"sync"
 	"testing"
@@ -377,7 +378,7 @@ func TestLeaseCancelQueuedSkippedByClaim(t *testing.T) {
 	if _, err := a.Enqueue("job-1", []byte(`{}`), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Cancel("job-1", "cancelled by client"); err != nil {
+	if err := b.RequestCancel("job-1", "cancelled by client"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Claim("job-1"); !errors.Is(err, ErrNotClaimable) {
@@ -386,6 +387,50 @@ func TestLeaseCancelQueuedSkippedByClaim(t *testing.T) {
 	got, _ := a.Get("job-1")
 	if got.State != StateCanceled || got.LastError() != "cancelled by client" {
 		t.Fatalf("canceled record %+v", got)
+	}
+}
+
+// TestLeaseCancelDuringClaimIsHonoured pins a cancel that lands between a
+// claim and MarkRunning: the requester cannot write the held record, so
+// the record stays queued with the flag set, MarkRunning keeps the flag,
+// and the holder's next heartbeat sees it and cancels under its lease.
+func TestLeaseCancelDuringClaimIsHonoured(t *testing.T) {
+	a, b, _ := twoWorkers(t)
+	if _, err := a.Enqueue("job-1", []byte(`{}`), 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := a.Claim("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RequestCancel("job-1", "cancelled by client"); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := b.Get("job-1")
+	if rec.State != StateQueued {
+		t.Fatalf("peer cancel wrote the held record: state %q, want queued", rec.State)
+	}
+	if _, ok := b.CancelRequested("job-1"); !ok {
+		t.Fatal("cancel flag missing while the holder owns the lease")
+	}
+
+	rec, _ = a.Get("job-1")
+	if err := a.MarkRunning(l, rec); err != nil {
+		t.Fatal(err)
+	}
+	reason, ok := a.CancelRequested("job-1")
+	if !ok || reason != "cancelled by client" {
+		t.Fatalf("after MarkRunning CancelRequested = (%q, %v), want the client's reason", reason, ok)
+	}
+	if err := a.CancelUnderLease(l, rec, reason); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := b.Get("job-1")
+	if got.State != StateCanceled || got.LastError() != "cancelled by client" {
+		t.Fatalf("after the holder's cancel: %+v, want canceled", got)
+	}
+	if _, ok := b.CancelRequested("job-1"); ok {
+		t.Error("cancel flag survives the terminal state")
 	}
 }
 
@@ -505,6 +550,86 @@ func TestLeaseDeleteRemovesEverything(t *testing.T) {
 	a.Delete("job-1")
 	if _, err := a.Get("job-1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get after delete = %v, want ErrNotFound", err)
+	}
+}
+
+// beforeCreate runs hook once, just before the first exclusive create:
+// the moment between a claimant's record read and its lease.
+type beforeCreate struct {
+	faultinject.OS
+	hook func()
+}
+
+func (f *beforeCreate) CreateExclusive(name string, data []byte, perm fs.FileMode) error {
+	if h := f.hook; h != nil {
+		f.hook = nil
+		h()
+	}
+	return f.OS.CreateExclusive(name, data, perm)
+}
+
+// TestLeaseCancelClaimRereadsUnderLease pins the re-read in Claim's cancel
+// path: a claimant read a flagged queued record, and before it took the
+// lease the holder finished the job. The claimant must leave the done
+// record alone rather than write canceled over it.
+func TestLeaseCancelClaimRereadsUnderLease(t *testing.T) {
+	a, b, clock := twoWorkers(t)
+	rec, _ := a.Enqueue("job-1", []byte(`{}`), 3)
+	l, err := a.Claim("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := json.Marshal(cancelFlag{Worker: "w-b", Reason: "cancelled by client"})
+	if err := (faultinject.OS{}).WriteFile(b.cancelPath("job-1"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hooked := &beforeCreate{hook: func() {
+		if err := a.Complete(l, rec); err != nil {
+			t.Error(err)
+		}
+	}}
+	c, err := Open(a.Dir(), WithWorker("w-c"), WithTTL(10*time.Second), WithClock(clock), WithFS(hooked))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Claim("job-1"); !errors.Is(err, ErrNotClaimable) {
+		t.Fatalf("claim of the flagged record = %v, want ErrNotClaimable", err)
+	}
+	if got, _ := b.Get("job-1"); got.State != StateDone || len(got.Errors) != 0 {
+		t.Fatalf("record after the racing claim = %+v, want done with no history", got)
+	}
+	if leases, _ := b.Leases(); len(leases) != 0 {
+		t.Errorf("leases after the racing claim: %+v", leases)
+	}
+}
+
+// TestLeaseDeleteLeavesHeldJob pins the admission rollback racing a peer:
+// a peer claimed the job between Enqueue and the rollback's Delete, so
+// the rollback must leave the peer its record and lease, and the peer
+// still completes the job.
+func TestLeaseDeleteLeavesHeldJob(t *testing.T) {
+	a, b, _ := twoWorkers(t)
+	if _, err := a.Enqueue("job-1", []byte(`{}`), 3, "hash-1"); err != nil {
+		t.Fatal(err)
+	}
+	l, err := b.Claim("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Delete("job-1")
+
+	rec, err := b.Get("job-1")
+	if err != nil || rec.State != StateQueued {
+		t.Fatalf("peer's record after the rollback = (%+v, %v), want queued", rec, err)
+	}
+	if leases, _ := b.Leases(); len(leases) != 1 || leases[0].Worker != "w-b" {
+		t.Fatalf("leases after the rollback = %+v, want w-b's", leases)
+	}
+	if err := b.Complete(l, rec); err != nil {
+		t.Fatalf("peer's Complete after the rollback = %v", err)
+	}
+	if got, _ := a.Get("job-1"); got.State != StateDone || got.Worker != "w-b" {
+		t.Fatalf("record after the peer's Complete = %+v, want done by w-b", got)
 	}
 }
 

@@ -218,24 +218,23 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch rec.State {
-	case StateQueued:
-		// Best-effort: if another worker claimed it in this window the
-		// durable cancel is refused and that worker's run proceeds.
-		s.cfg.Jobs.Cancel(rec.ID, "cancelled by client")
-		// Drop it from the local heap right away so it stops occupying
-		// queue capacity. The record is canceled first, so the scanner
-		// cannot push it back.
-		if j := s.localJob(rec.ID); j != nil && s.queue.remove(j) {
-			s.dropLocal(j)
-		}
-	case StateRunning:
-		// A local run observes its context error and finishes the state
-		// transition itself. For a job running on another worker, the
-		// durable cancel request below is the only lever: the owner's next
-		// heartbeat observes the flag, aborts, and writes the terminal
-		// canceled state under its lease.
+	case StateQueued, StateRunning:
+		// The durable cancel request is the only lever on the record: a
+		// queued job no worker holds is canceled at once, under a lease;
+		// a job a worker holds, here or on a peer, ends canceled at that
+		// worker's next heartbeat.
 		s.cfg.Jobs.RequestCancel(rec.ID, "cancelled by client")
-		if j := s.localJob(rec.ID); j != nil {
+		j := s.localJob(rec.ID)
+		switch {
+		case j == nil:
+		case s.queue.remove(j):
+			// Out of the local heap right away so it stops occupying
+			// queue capacity. The scanner pushes it back only while its
+			// record is still queued, and the claim then cancels it.
+			s.dropLocal(j)
+		default:
+			// A local run observes its context error and finishes the
+			// state transition itself.
 			j.mu.Lock()
 			cancel := j.cancel
 			j.mu.Unlock()

@@ -479,8 +479,8 @@ func (s *Server) buildJob(req jobRequest) (*job, error) {
 // enqueueJob persists a built job's record and pushes the job onto the
 // local queue, durable-first (so any cluster worker can run it even if
 // this process dies immediately). rawReq is the original request body the
-// record persists. On failure the record is deleted again and the error
-// maps to a 503.
+// record persists. On failure the record is deleted again, unless a peer
+// claimed the job meanwhile and so runs it, and the error maps to a 503.
 func (s *Server) enqueueJob(j *job, rawReq []byte) (*jobstore.Record, error) {
 	rec, err := s.cfg.Jobs.Enqueue(j.id, rawReq, s.cfg.MaxAttempts, j.resultKey)
 	if err != nil {

@@ -100,7 +100,8 @@ func postJob(t *testing.T, ts *httptest.Server, body string) jobStatus {
 	return st
 }
 
-// getStatus fetches one job's status.
+// getStatus fetches one job's status; any answer but 200 fails the test,
+// so an unknown job is never read as an empty state.
 func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
@@ -108,6 +109,10 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("GET /v1/jobs/%s = %d: %s", id, resp.StatusCode, body)
+	}
 	var st jobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
