@@ -293,8 +293,8 @@ func benchMeasureLoop(b *testing.B) {
 	_ = samples
 }
 
-// benchCacheLookupHit measures a demand hit in an LLC-geometry cache with
-// the MRU hint warm — the single hottest simulator operation.
+// benchCacheLookupHit measures a demand hit on the most recent way of an
+// LLC-geometry set — the single hottest simulator operation.
 func benchCacheLookupHit(b *testing.B) {
 	c := cache.New(cache.Config{Sets: 16384, Ways: 20, LineBytes: 64, HitLatency: 44})
 	mask := c.Config().AllWays()

@@ -2,8 +2,9 @@ package cache
 
 import "testing"
 
-// llc returns the simulator's LLC geometry (16384 sets x 20 ways) — the
-// shape whose way scans dominate the per-cycle path.
+// llc returns the simulator's LLC geometry (16384 sets x 20 ways), whose
+// three-word set headers and host-memory misses dominate the per-cycle
+// path.
 func llc() *Cache {
 	return New(Config{Sets: 16384, Ways: 20, LineBytes: 64, HitLatency: 44})
 }
@@ -25,7 +26,8 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheLookupMiss measures a demand miss scanning a full set.
+// BenchmarkCacheLookupMiss measures a demand miss on a full set: a
+// fingerprint compare over the header, and a tag load per false match.
 func BenchmarkCacheLookupMiss(b *testing.B) {
 	c := llc()
 	sets := uint64(c.Config().Sets)
@@ -58,7 +60,7 @@ func BenchmarkCacheProbe(b *testing.B) {
 }
 
 // BenchmarkCacheFillInvalid measures fills that land in an invalid way —
-// the warm-up regime where the old code scanned the mask linearly.
+// the warm-up regime, served by the header's valid-way bitmask.
 func BenchmarkCacheFillInvalid(b *testing.B) {
 	c := llc()
 	sets := uint64(c.Config().Sets)
@@ -76,7 +78,7 @@ func BenchmarkCacheFillInvalid(b *testing.B) {
 }
 
 // BenchmarkCacheFillEvictLLC measures steady-state fills on full sets:
-// every fill runs the LRU victim scan over 20 ways.
+// every fill evicts the way of the highest LRU rank.
 func BenchmarkCacheFillEvictLLC(b *testing.B) {
 	c := llc()
 	sets := uint64(c.Config().Sets)

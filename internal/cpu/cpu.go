@@ -102,10 +102,6 @@ type Core struct {
 	// misses altogether) beneficial.
 	prefToMemLastStep int
 	prefToMemThisStep int
-
-	// reqBuf holds copies of ObserveL1 results: processing them calls
-	// ObserveL2, which would otherwise recycle the same storage.
-	reqBuf []prefetch.Request
 }
 
 // serializeCycles approximates the DRAM bank/channel occupancy one
@@ -148,7 +144,6 @@ func New(id int, params Params, spec workload.Spec, gen workload.Generator,
 		l2HitLat:  l2.Config().HitLatency,
 		l1All:     l1.Config().AllWays(),
 		l2All:     l2.Config().AllWays(),
-		reqBuf:    make([]prefetch.Request, 0, 16),
 	}, nil
 }
 
@@ -166,9 +161,9 @@ func (c *Core) Generator() workload.Generator { return c.gen }
 // own caches, prefetch unit and shared side (the machine it belongs to);
 // both cores must have the same cache geometries and prefetch Params.
 func (c *Core) CopyFrom(src *Core) {
-	l1, l2, pf, shared, reqBuf := c.l1, c.l2, c.pf, c.shared, c.reqBuf
+	l1, l2, pf, shared := c.l1, c.l2, c.pf, c.shared
 	*c = *src
-	c.l1, c.l2, c.pf, c.shared, c.reqBuf = l1, l2, pf, shared, reqBuf
+	c.l1, c.l2, c.pf, c.shared = l1, l2, pf, shared
 	c.gen = src.gen.Clone()
 	c.l1.CopyFrom(src.l1)
 	c.l2.CopyFrom(src.l2)
@@ -267,10 +262,10 @@ func (c *Core) step() {
 	c.prefToMemLastStep = c.prefToMemThisStep
 	c.prefToMemThisStep = 0
 
-	// The L1 prefetchers observe every demand access. Copy the requests:
-	// executing them feeds the L2 prefetchers, which share the unit.
-	c.reqBuf = append(c.reqBuf[:0], c.pf.ObserveL1(pc, addr, l1hit)...)
-	for _, r := range c.reqBuf {
+	// The L1 prefetchers observe every demand access. Executing their
+	// requests feeds the L2 prefetchers, whose results the unit keeps in
+	// a buffer of their own, so the slice stays intact while we range.
+	for _, r := range c.pf.ObserveL1(pc, addr, l1hit) {
 		c.runL1Prefetch(r.Line, now)
 	}
 }
